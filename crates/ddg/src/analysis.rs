@@ -1,12 +1,15 @@
 //! Graph analyses: topological order, strongly connected components,
 //! recurrence-aware ASAP/ALAP bounds, depth and height.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::graph::{Ddg, Edge, NodeId};
 
 /// Topological order of the distance-0 (same-iteration) subgraph.
 ///
-/// A valid [`Ddg`] always has one; ties are broken by node index so the
-/// result is deterministic.
+/// A valid [`Ddg`] always has one; ties are broken by node index (the
+/// lowest-index ready node goes first) so the result is deterministic.
 #[must_use]
 pub fn topo_order(ddg: &Ddg) -> Vec<NodeId> {
     let n = ddg.node_count();
@@ -16,29 +19,21 @@ pub fn topo_order(ddg: &Ddg) -> Vec<NodeId> {
             indeg[e.dst.index()] += 1;
         }
     }
-    // A binary heap would give O(E log V); loops are small, keep it simple
-    // with a sorted ready list for determinism.
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    ready.sort_unstable_by(|a, b| b.cmp(a));
+    let mut ready: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| indeg[i] == 0).map(Reverse).collect();
     let mut order = Vec::with_capacity(n);
-    while let Some(i) = ready.pop() {
+    while let Some(Reverse(i)) = ready.pop() {
         let id = NodeId::new(i as u32);
         order.push(id);
-        let mut newly_ready = Vec::new();
         for e in ddg.out_edges(id) {
             if e.distance == 0 {
                 let d = e.dst.index();
                 indeg[d] -= 1;
                 if indeg[d] == 0 {
-                    newly_ready.push(d);
+                    ready.push(Reverse(d));
                 }
             }
         }
-        newly_ready.sort_unstable();
-        for d in newly_ready.into_iter().rev() {
-            ready.push(d);
-        }
-        ready.sort_unstable_by(|a, b| b.cmp(a));
     }
     debug_assert_eq!(order.len(), n, "validated DDGs are acyclic at distance 0");
     order
@@ -76,12 +71,9 @@ pub fn sccs(ddg: &Ddg) -> Vec<Vec<NodeId>> {
         on_stack[root] = true;
 
         while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
-            let succs: Vec<usize> = ddg
-                .out_edges(NodeId::new(v as u32))
-                .map(|e| e.dst.index())
-                .collect();
+            let succs = ddg.out_edge_ids(NodeId::new(v as u32));
             if *pos < succs.len() {
-                let w = succs[*pos];
+                let w = ddg.edge(succs[*pos]).dst.index();
                 *pos += 1;
                 if index[w] == usize::MAX {
                     index[w] = counter;
@@ -254,12 +246,19 @@ pub fn asap_times_into(ddg: &Ddg, ii: u32, edge_lat: &[u32], asap: &mut Vec<i64>
 /// `depth(n)` is the length of the longest latency-weighted path from any
 /// source ending at `n` (sources have depth 0); `height(n)` the longest
 /// path from `n` to any sink.
+///
+/// `order` is [`topo_order`]`(ddg)`, passed in so callers that keep the
+/// order anyway compute it once.
 #[must_use]
-pub fn depth_height(ddg: &Ddg, lat: impl Fn(&Edge) -> u32) -> (Vec<i64>, Vec<i64>) {
-    let order = topo_order(ddg);
+pub fn depth_height(
+    ddg: &Ddg,
+    order: &[NodeId],
+    lat: impl Fn(&Edge) -> u32,
+) -> (Vec<i64>, Vec<i64>) {
     let n = ddg.node_count();
+    debug_assert_eq!(order.len(), n, "one topological slot per node");
     let mut depth = vec![0i64; n];
-    for &v in &order {
+    for &v in order {
         for e in ddg.out_edges(v) {
             if e.distance == 0 {
                 let t = depth[v.index()] + i64::from(lat(e));
@@ -330,6 +329,16 @@ mod tests {
             topo_order(&ddg),
             vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]
         );
+    }
+
+    #[test]
+    fn topo_emits_the_lowest_index_ready_node() {
+        // Distance-0 edges against index order: 3 → 0, 4 → 2 → 1.
+        let mut b = Ddg::builder();
+        let n: Vec<_> = (0..5).map(|_| b.add_node(OpKind::IntAdd)).collect();
+        b.data(n[3], n[0]).data(n[4], n[2]).data(n[2], n[1]);
+        let ddg = b.build().unwrap();
+        assert_eq!(topo_order(&ddg), vec![n[3], n[0], n[4], n[2], n[1]]);
     }
 
     #[test]
@@ -439,7 +448,7 @@ mod tests {
         let z = b.add_node(OpKind::FpAdd);
         b.data(x, y).data(y, z).data_dist(z, x, 1);
         let ddg = b.build().unwrap();
-        let (depth, height) = depth_height(&ddg, |_| 3);
+        let (depth, height) = depth_height(&ddg, &topo_order(&ddg), |_| 3);
         // loop-carried edge is ignored for depth/height
         assert_eq!(depth, vec![0, 3, 6]);
         assert_eq!(height, vec![6, 3, 0]);

@@ -18,16 +18,21 @@
 //! [`LoopAnalysis`] computes all of it exactly once and is threaded **by
 //! shared reference** through `mii`, partitioning, replication and the
 //! scheduler, so an II bump or a policy switch reuses it instead of
-//! recomputing. Construction calls the same functions the one-shot APIs
-//! call, so cached and uncached paths are bit-identical by construction
-//! (the workspace's determinism contract); the equivalence property test
-//! in the root crate asserts exactly that.
+//! recomputing. Construction computes each artifact once and derives the
+//! rest from it instead of calling the one-shot APIs: `topo_order` feeds
+//! depth/height, the component index comes from the one `sccs` result
+//! (not a second Tarjan pass in `scc_of_node`), and the loop-wide RecMII
+//! is the largest per-component RecMII (not `rec_mii`'s whole-graph binary
+//! search). Results stay bit-identical to the one-shot APIs (the
+//! workspace's determinism contract): debug builds re-check the RecMII
+//! and component index on every construction, and the differential tests
+//! here and in the root crate assert the rest.
 
 use cvliw_ddg::{depth_height, rec_mii, scc_of_node, sccs, topo_order, Ddg, Edge, NodeId};
 use cvliw_machine::MachineConfig;
 
 use crate::mii::res_mii_unclustered;
-use crate::order::{comp_rec_miis, is_recurrent_comp, sms_order_parts};
+use crate::order::{comp_index, comp_rec_miis, is_recurrent_comp, sms_order_parts};
 
 /// Every II-invariant artifact of one `(loop, machine)` pair.
 ///
@@ -64,15 +69,19 @@ impl LoopAnalysis {
         let edge_lat: Vec<u32> = ddg.edges().map(|e| node_lat[e.src.index()]).collect();
         let lat = |e: &Edge| node_lat[e.src.index()];
 
-        let (depth, height) = depth_height(ddg, lat);
+        let topo = topo_order(ddg);
+        let (depth, height) = depth_height(ddg, &topo, lat);
         let comps = sccs(ddg);
-        let scc_of = scc_of_node(ddg);
+        let scc_of = comp_index(&comps, ddg.node_count());
+        debug_assert_eq!(scc_of, scc_of_node(ddg));
         let scc_recurrent: Vec<bool> = comps.iter().map(|c| is_recurrent_comp(ddg, c)).collect();
         let scc_rec_mii = comp_rec_miis(ddg, &comps, lat);
 
-        let rec = rec_mii(ddg, lat);
+        // Every dependence circuit lies inside one SCC.
+        let rec = scc_rec_mii.iter().copied().max().unwrap_or(1);
+        debug_assert_eq!(rec, rec_mii(ddg, lat));
         let res = res_mii_unclustered(ddg, machine);
-        let order = sms_order_parts(ddg, &depth, &height, &comps, &scc_rec_mii);
+        let order = sms_order_parts(ddg, &depth, &height, &comps, &scc_of, &scc_rec_mii);
 
         LoopAnalysis {
             node_lat,
@@ -88,7 +97,7 @@ impl LoopAnalysis {
             mii: res.max(rec),
             count_by_class: ddg.count_by_class(),
             sms_order: order,
-            topo_order: topo_order(ddg),
+            topo_order: topo,
         }
     }
 
@@ -186,8 +195,11 @@ impl LoopAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::reference;
     use crate::{mii, sms_order};
     use cvliw_ddg::OpKind;
+    use cvliw_workloads::{generate_loop, suite_with_salt, GeneratorParams};
+    use proptest::prelude::*;
 
     fn machine(spec: &str) -> MachineConfig {
         MachineConfig::from_spec(spec).unwrap()
@@ -218,7 +230,7 @@ mod tests {
         let lat = m.edge_latency(&ddg);
         let expect: Vec<u32> = ddg.edges().map(&lat).collect();
         assert_eq!(a.edge_lat(), expect.as_slice());
-        let (depth, height) = cvliw_ddg::depth_height(&ddg, &lat);
+        let (depth, height) = cvliw_ddg::depth_height(&ddg, a.topo_order(), &lat);
         assert_eq!(a.depth(), depth.as_slice());
         assert_eq!(a.height(), height.as_slice());
     }
@@ -238,6 +250,51 @@ mod tests {
         assert!(!a.scc_recurrent()[ld_comp]);
         assert_eq!(a.scc_rec_mii()[ld_comp], 1);
         assert_eq!(a.rec_mii(), 9);
+    }
+
+    /// The cached ordering, RecMII and component index against the
+    /// reference ordering and the one-shot whole-graph APIs.
+    fn assert_matches_reference(ddg: &Ddg, m: &MachineConfig) {
+        let a = LoopAnalysis::new(ddg, m);
+        assert_eq!(a.sms_order(), reference::sms_order(ddg, m).as_slice());
+        assert_eq!(a.rec_mii(), cvliw_ddg::rec_mii(ddg, m.edge_latency(ddg)));
+        assert_eq!(a.scc_of(), cvliw_ddg::scc_of_node(ddg).as_slice());
+    }
+
+    #[test]
+    fn matches_reference_on_every_suite_loop() {
+        let m = machine("4c1b2l64r");
+        for program in suite_with_salt(0, usize::MAX) {
+            for lp in &program.loops {
+                assert_matches_reference(&lp.ddg, &m);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Many chains, most of them recurrences, cross-coupled and with
+        /// aliasing memory recurrences: several recurrent SCCs per loop
+        /// with path nodes between them.
+        #[test]
+        fn matches_reference_on_generated_recurrent_loops(
+            seed in any::<u64>(),
+            chains in 2usize..9,
+            recurrence in 0.3f64..1.0,
+            coupling in 0.0f64..0.6,
+            mem_alias in 0.0f64..0.4,
+        ) {
+            let params = GeneratorParams {
+                chains: (chains, chains),
+                recurrence,
+                coupling,
+                mem_alias,
+                ..GeneratorParams::medium()
+            };
+            let lp = generate_loop(seed, &params).unwrap();
+            assert_matches_reference(&lp.ddg, &machine("4c-ring1l64r"));
+        }
     }
 
     #[test]
