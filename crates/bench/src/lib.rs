@@ -1,7 +1,9 @@
 //! Shared harness for the experiment regenerators in `benches/` — the
 //! workspace's §4 instrumentation, one `harness = false` bench target per
-//! figure and table of the paper (Figures 1 and 7–12, Table 1, the
-//! communication and register-sweep tables, plus ablations).
+//! figure and table of the paper (Figures 1, 7, 8 and 10, Table 1, the
+//! communication and register-sweep tables, plus ablations). Figures 9 and
+//! 12 are sections 3 and 4 of the results book that `cvliw suite --format
+//! md` writes.
 //!
 //! The compile-and-aggregate plumbing (compiling a whole benchmark program
 //! under a machine/mode pair, profile-weighted IPC, replication
@@ -13,7 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use cvliw_exp::{run_loop, run_program, ProgramResult};
+pub use cvliw_exp::{run_program, ProgramResult};
 
 use cvliw_workloads::BenchmarkProgram;
 

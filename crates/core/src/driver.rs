@@ -10,8 +10,7 @@ use cvliw_ddg::Ddg;
 use cvliw_machine::MachineConfig;
 use cvliw_partition::{
     partition_loop_scratch, partition_loop_variant, refine_existing_cached,
-    refine_existing_scratch, score_partition_scratch, Partition, PartitionScore, RefineCache,
-    RefineScratch,
+    score_partition_scratch, Partition, PartitionScore, RefineCache, RefineScratch,
 };
 use cvliw_sched::{
     schedule_with_scratch, Assignment, IiCause, LoopAnalysis, OrderStrategy, SchedScratch,
@@ -19,7 +18,7 @@ use cvliw_sched::{
 };
 
 use crate::engine::{EngineScratch, ReplicationEngine, ReplicationOutcome, ReplicationStats};
-use crate::sched_len::extend_for_length_with;
+use crate::sched_len::extend_for_length;
 use crate::value_clone::uncloneable_coms;
 
 /// Which compilation pipeline to run.
@@ -763,18 +762,15 @@ fn elapsed_nanos(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Compiles one loop for one machine: Figure 2's `II = MII; loop
-/// {partition/refine → replicate → schedule}` with cause attribution for
-/// every II increment.
-///
-/// Computes the loop's [`CompileContext`] internally. Callers compiling the
+/// Compiles one loop for one machine on a fresh [`CompileContext`] — the
+/// one-shot convenience over [`compile_loop_ctx`]. Callers compiling the
 /// same loop on the same machine more than once (the experiment suite runs
 /// all five [`Mode`]s per cell) should build the context once and call
-/// [`compile_loop_ctx`] instead.
+/// [`compile_loop_ctx`] directly.
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works.
+/// As for [`compile_loop_ctx`].
 pub fn compile_loop(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -783,36 +779,17 @@ pub fn compile_loop(
     compile_loop_ctx(ddg, machine, opts, &CompileContext::new(ddg, machine))
 }
 
-/// [`compile_loop`] on a caller-provided [`LoopAnalysis`].
-///
-/// Every II-invariant artifact — latencies, SCCs, RecMII, the swing order —
-/// is read from the cache, so the II loop and the swing→topological retry
-/// never recompute them. Results are bit-identical to [`compile_loop`].
-/// (The suite goes one step further and shares a [`CompileContext`], which
-/// also memoizes the MII seed partition and the compile scratch across
-/// modes.)
+/// Compiles one loop for one machine: Figure 2's `II = MII; loop
+/// {partition/refine → replicate → schedule}` with cause attribution for
+/// every II increment. The context's analysis, memoized refinement chain,
+/// memoized engine outcomes and persistent scratch are shared by every
+/// call on it; results depend only on `(loop, machine, opts)` and the
+/// context's seed-racing width, never on what it compiled before.
 ///
 /// # Errors
 ///
-/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works.
-pub fn compile_loop_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    opts: &CompileOptions,
-    analysis: &LoopAnalysis,
-) -> Result<CompiledLoop, CompileError> {
-    let mut scratch = CompileScratch::default();
-    scratch.engine.prepare(ddg, analysis);
-    compile_loop_inner(ddg, machine, opts, analysis, None, &mut scratch)
-}
-
-/// [`compile_loop`] on a shared [`CompileContext`]: the analysis, the MII
-/// seed partition *and* the persistent compile scratch are reused across
-/// calls. Results are bit-identical to [`compile_loop`].
-///
-/// # Errors
-///
-/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works.
+/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works,
+/// or [`CompileError::Cancelled`] once the context's [`CancelToken`] fires.
 pub fn compile_loop_ctx(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -820,17 +797,7 @@ pub fn compile_loop_ctx(
     ctx: &CompileContext,
 ) -> Result<CompiledLoop, CompileError> {
     let scratch = &mut *ctx.scratch.borrow_mut();
-    compile_loop_inner(ddg, machine, opts, &ctx.analysis, Some(ctx), scratch)
-}
-
-fn compile_loop_inner(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    opts: &CompileOptions,
-    analysis: &LoopAnalysis,
-    ctx: Option<&CompileContext>,
-    scratch: &mut CompileScratch,
-) -> Result<CompiledLoop, CompileError> {
+    let analysis = &ctx.analysis;
     debug_assert_eq!(
         ddg.node_count(),
         analysis.node_lat().len(),
@@ -842,24 +809,11 @@ fn compile_loop_inner(
         .unwrap_or_else(|| mii.saturating_mul(4).saturating_add(256));
     let mut causes = CauseCounts::default();
 
-    // `known_coms` caches the current partition's communication count; it
-    // rides along with the chain memo (which counts once per step) and is
-    // dropped whenever the no-ctx path changes the partition.
-    let mut known_coms: Option<u32>;
-    let mut partition = match ctx {
-        Some(c) => {
-            let step = c.chain_step(ddg, machine, mii, scratch);
-            known_coms = Some(step.coms);
-            step.partition
-        }
-        None => {
-            let started = Instant::now();
-            let p = partition_loop_scratch(ddg, machine, mii, analysis, &mut scratch.refine);
-            scratch.stage_nanos[Stage::Partition as usize] += elapsed_nanos(started);
-            known_coms = None;
-            p
-        }
-    };
+    // The chain memo counts each step's communications once, so the
+    // current partition's count rides along with it.
+    let first = ctx.chain_step(ddg, machine, mii, scratch);
+    let mut partition = first.partition;
+    let mut partition_coms = first.coms;
     let mut ii = mii;
     // Failure-driven II skipping (non-replicating modes): after a bus
     // failure, the smallest II whose bandwidth could possibly fit the
@@ -880,33 +834,12 @@ fn compile_loop_inner(
             return Err(CompileError::Cancelled { ii_reached: ii });
         }
         if ii > mii {
-            match ctx {
-                Some(c) => {
-                    let step = c.chain_step(ddg, machine, ii, scratch);
-                    if step.changed {
-                        partition = step.partition;
-                        bus_bound = 0;
-                    }
-                    known_coms = Some(step.coms);
-                }
-                None => {
-                    let started = Instant::now();
-                    let refined = refine_existing_scratch(
-                        ddg,
-                        machine,
-                        ii,
-                        partition.clone(),
-                        analysis,
-                        &mut scratch.refine,
-                    );
-                    scratch.stage_nanos[Stage::Partition as usize] += elapsed_nanos(started);
-                    if refined != partition {
-                        partition = refined;
-                        bus_bound = 0;
-                        known_coms = None;
-                    }
-                }
+            let step = ctx.chain_step(ddg, machine, ii, scratch);
+            if step.changed {
+                partition = step.partition;
+                bus_bound = 0;
             }
+            partition_coms = step.coms;
         }
         if ii < bus_bound {
             debug_assert!(
@@ -917,34 +850,9 @@ fn compile_loop_inner(
             ii += 1;
             continue;
         }
-        let partition_coms = match known_coms {
-            Some(coms) => coms,
-            None => {
-                let coms = partition.comm_count(ddg);
-                known_coms = Some(coms);
-                coms
-            }
-        };
-
         let started = Instant::now();
         let (assignment, replication) = if opts.mode.replicates() {
-            let step = match ctx {
-                Some(c) => c.engine_step(ddg, machine, ii, &partition, scratch),
-                None => {
-                    let mut engine =
-                        ReplicationEngine::new(ddg, machine, ii, partition.to_assignment());
-                    let step = match engine.run_scratch(&mut scratch.engine) {
-                        ReplicationOutcome::Fits => {
-                            let (assignment, stats) = engine.into_parts();
-                            EngineStep::Fits(assignment, stats)
-                        }
-                        ReplicationOutcome::Stuck { .. } => EngineStep::Stuck,
-                    };
-                    scratch.stage_nanos[Stage::Replicate as usize] += elapsed_nanos(started);
-                    step
-                }
-            };
-            match step {
+            match ctx.engine_step(ddg, machine, ii, &partition, scratch) {
                 EngineStep::Fits(assignment, stats) => (assignment, stats),
                 EngineStep::Stuck => {
                     causes.add(IiCause::Bus);
@@ -1000,7 +908,7 @@ fn compile_loop_inner(
 
         let assignment = if opts.mode == Mode::ReplicateSchedLen {
             let started = Instant::now();
-            let extended = extend_for_length_with(ddg, machine, ii, assignment, analysis);
+            let extended = extend_for_length(ddg, machine, ii, assignment, analysis);
             scratch.stage_nanos[Stage::Replicate as usize] += elapsed_nanos(started);
             extended
         } else {
@@ -1096,53 +1004,6 @@ fn skipped_attempt_fails_bus(
         _ => return false, // the bound is never armed for replicating modes
     };
     ncoms > machine.coms_capacity_per_ii(ii)
-}
-
-/// The single-cell entry point for suite orchestration: compiles one loop
-/// and returns only its [`LoopStats`], dropping the schedule. Everything an
-/// experiment grid aggregates (II, IPC inputs, replication ratios, cause
-/// tallies) lives in the stats; the schedule itself is only needed by
-/// callers that render, verify or simulate it.
-///
-/// # Errors
-///
-/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works.
-pub fn compile_stats(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    opts: &CompileOptions,
-) -> Result<LoopStats, CompileError> {
-    compile_loop(ddg, machine, opts).map(|out| out.stats)
-}
-
-/// [`compile_stats`] on a caller-provided [`LoopAnalysis`].
-///
-/// # Errors
-///
-/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works.
-pub fn compile_stats_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    opts: &CompileOptions,
-    analysis: &LoopAnalysis,
-) -> Result<LoopStats, CompileError> {
-    compile_loop_with(ddg, machine, opts, analysis).map(|out| out.stats)
-}
-
-/// [`compile_stats`] on a shared [`CompileContext`] — the suite's per-cell
-/// entry point, where one context serves all five modes of a (loop,
-/// machine) pair.
-///
-/// # Errors
-///
-/// Returns [`CompileError::IiLimitExceeded`] if no II up to the cap works.
-pub fn compile_stats_ctx(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    opts: &CompileOptions,
-    ctx: &CompileContext,
-) -> Result<LoopStats, CompileError> {
-    compile_loop_ctx(ddg, machine, opts, ctx).map(|out| out.stats)
 }
 
 #[cfg(test)]
@@ -1352,8 +1213,8 @@ mod tests {
         // Reset and the same context compiles cleanly — no memo was left
         // half-written by the bail-out.
         token.reset();
-        let stats = compile_stats_ctx(&ddg, &m, &opts, &ctx).unwrap();
-        let oracle = compile_stats(&ddg, &m, &opts).unwrap();
+        let stats = compile_loop_ctx(&ddg, &m, &opts, &ctx).unwrap().stats;
+        let oracle = compile_loop(&ddg, &m, &opts).unwrap().stats;
         assert_eq!(stats, oracle, "post-cancel compile diverged");
     }
 

@@ -22,9 +22,10 @@
 //!    ([`ReplicationEngine`], §3.3–3.4) — never more than `extra_coms`
 //!    of them.
 //!
-//! [`compile_loop`] wires this into the full Figure-2 driver (partition →
-//! replicate → schedule, bumping the II on failure) and also provides the
-//! paper's §5 alternatives: the schedule-length extension
+//! [`compile_loop_ctx`] (and its one-shot convenience [`compile_loop`])
+//! wires this into the full Figure-2 driver (partition → replicate →
+//! schedule, bumping the II on failure) and also provides the paper's §5
+//! alternatives: the schedule-length extension
 //! ([`extend_for_length`]), the zero-bus-latency upper bound
 //! ([`Mode::ZeroBusLatency`]) and macro-node replication
 //! ([`macro_replicate`]).
@@ -76,9 +77,8 @@ mod value_clone;
 pub use acyclic::{replicate_for_acyclic_length, schedule_acyclic, AcyclicError, AcyclicSchedule};
 pub use cvliw_sched::LoopAnalysis;
 pub use driver::{
-    compile_loop, compile_loop_ctx, compile_loop_with, compile_stats, compile_stats_ctx,
-    compile_stats_with, CancelToken, CauseCounts, CompileContext, CompileError, CompileOptions,
-    CompileScratch, CompiledLoop, LoopStats, Mode, Stage,
+    compile_loop, compile_loop_ctx, CancelToken, CauseCounts, CompileContext, CompileError,
+    CompileOptions, CompileScratch, CompiledLoop, LoopStats, Mode, Stage,
 };
 pub use engine::{EngineScratch, ReplicationEngine, ReplicationOutcome, ReplicationStats};
 pub use fingerprint::{fnv1a_64, loop_fingerprint};
@@ -88,5 +88,5 @@ pub use plan::{
     plan_weight, replication_plan, replication_plan_into, share_counts, PlanArena, PlanRef,
     ReplicationPlan,
 };
-pub use sched_len::{extend_for_length, extend_for_length_with};
+pub use sched_len::extend_for_length;
 pub use value_clone::{is_cloneable_value, uncloneable_coms, value_clone};

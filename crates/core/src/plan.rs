@@ -19,7 +19,7 @@ use crate::liveness::{
 /// the liveness query all run on compact-id buffers the arena keeps warm
 /// across rounds, engine runs and (via `CompileScratch`) whole loops.
 ///
-/// [`PlanArena::build`] produces exactly the plans [`replication_plan`]
+/// `PlanArena::build` produces exactly the plans [`replication_plan`]
 /// would, in ascending communicated-value order — the map-based functions
 /// stay as the differential oracle.
 #[derive(Clone, Debug)]

@@ -45,7 +45,7 @@ fn comm_lat<'a>(
 
 /// Estimated critical-path length of one iteration (issue span) with bus
 /// latency charged on cross-cluster data edges; `None` below RecMII.
-/// `extend_core` inlines this (one `time_bounds` per round shares slacks
+/// `extend_for_length` inlines this (one `time_bounds` per round shares slacks
 /// with the zero-slack filter); the tests keep it as the oracle.
 #[cfg_attr(not(test), allow(dead_code))]
 fn estimated_length(
@@ -61,39 +61,17 @@ fn estimated_length(
 
 /// Applies the §5.1 extension: repeatedly pick a zero-slack cross-cluster
 /// data edge, replicate the producer into that one consumer cluster, and
-/// keep the change only if the estimated schedule length shrinks.
+/// keep the change only if the estimated schedule length shrinks. Producer
+/// latencies are read from the loop's cached [`LoopAnalysis`].
 #[must_use]
 pub fn extend_for_length(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
-    assignment: Assignment,
-) -> Assignment {
-    let base = |n: NodeId| machine.latency(ddg.kind(n));
-    extend_core(ddg, machine, ii, assignment, &base)
-}
-
-/// [`extend_for_length`] on a cached [`LoopAnalysis`] (bit-identical; the
-/// producer latencies are read from the cached vector).
-#[must_use]
-pub fn extend_for_length_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    assignment: Assignment,
+    mut assignment: Assignment,
     analysis: &LoopAnalysis,
 ) -> Assignment {
-    let base = |n: NodeId| analysis.node_lat()[n.index()];
-    extend_core(ddg, machine, ii, assignment, &base)
-}
-
-fn extend_core(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    mut assignment: Assignment,
-    base_lat: &impl Fn(NodeId) -> u32,
-) -> Assignment {
+    let base_lat = &|n: NodeId| analysis.node_lat()[n.index()];
     let n = ddg.node_count();
     // Buffers reused across rounds and candidates: the Figure-4 walk, the
     // Figure-5 liveness query, the censuses and the span estimate.
@@ -345,7 +323,7 @@ mod tests {
         let ii = 3;
         let base = |n: NodeId| m.latency(ddg.kind(n));
         let before = estimated_length(&ddg, &m, ii, &asg, &base).unwrap();
-        let extended = extend_for_length(&ddg, &m, ii, asg);
+        let extended = extend_for_length(&ddg, &m, ii, asg, &LoopAnalysis::new(&ddg, &m));
         let after = estimated_length(&ddg, &m, ii, &extended, &base).unwrap();
         assert!(after < before, "length must shrink: {after} vs {before}");
         // A was copied into cluster 0 (the critical consumer D's cluster)…
@@ -365,7 +343,7 @@ mod tests {
         let ddg = bld.build().unwrap();
         let asg = Assignment::from_partition(&[0, 0]);
         let m = machine();
-        let out = extend_for_length(&ddg, &m, 2, asg.clone());
+        let out = extend_for_length(&ddg, &m, 2, asg.clone(), &LoopAnalysis::new(&ddg, &m));
         assert_eq!(out, asg);
     }
 }

@@ -1,14 +1,14 @@
 //! The suite worker pool: shard grid work across scoped threads and
 //! collect results by cell index.
 //!
-//! The unit of work is a **(machine, program) pair** — all modes of that
-//! pair run on one worker through [`crate::run_pair_on`], sharing one
-//! `LoopAnalysis` per loop. Workers pull pair indices from a shared atomic
-//! counter (dynamic work-stealing — pairs vary a lot in cost, fpppp's dozen
-//! huge loops vs wave5's 276 small ones), but every result lands in its
-//! cell's slot, and aggregation walks the slots in grid order after the
-//! pool joins. The worker count therefore changes wall-clock time and
-//! nothing else: `--jobs 1` and `--jobs 4` produce byte-identical reports.
+//! The unit of work is **one loop of one (machine, program) pair** — all
+//! modes of that loop run on one worker, sharing one `CompileContext`.
+//! Workers pull unit indices from a shared atomic counter (dynamic
+//! work-stealing — loops vary a lot in cost, fpppp's dozen huge loops vs
+//! wave5's 276 small ones), but every result lands in its unit's slot, and
+//! aggregation walks the slots in grid order after the pool joins. The
+//! worker count therefore changes wall-clock time and nothing else:
+//! `--jobs 1` and `--jobs 4` produce byte-identical reports.
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,7 +20,7 @@ use cvliw_workloads::{program, program_subset, BenchmarkProgram};
 
 use cvliw_replicate::CompileScratch;
 
-use crate::cell::{compile_loop_all_modes, run_pair_timed, CellResult};
+use crate::cell::{compile_loop_all_modes, CellResult};
 use crate::grid::{CellSpec, SuiteGrid};
 use crate::report::SuiteReport;
 
@@ -209,107 +209,28 @@ pub(crate) fn prepare(grid: &SuiteGrid) -> Result<PreparedSuite, SuiteError> {
     })
 }
 
-/// How the worker pool slices the grid into work units.
+/// Runs the worker pool over the grid, returning the per-cell results in
+/// grid order plus each pair's wall-clock nanoseconds and per-stage
+/// nanoseconds (indexed `spec-major × program`; the bench harness reads
+/// them, plain suite runs drop them).
 ///
-/// The unit size changes wall-clock time and the meaning of a pair's
-/// reported wall clock — and **nothing else**: results are folded in grid
-/// order from per-unit slots, so every report is byte-identical across
-/// granularities and worker counts (`intra_pair_jobs_are_byte_identical`
-/// pins this).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Granularity {
-    /// One (machine, program) pair per unit — the pre-lane behavior. A
-    /// pair's wall clock is real elapsed time on its one worker.
-    Pair,
-    /// One **loop** of one pair per unit (the default): the heavy
-    /// su2cor/fpppp pairs stop serializing a whole worker each, so
-    /// `--jobs N` cuts the critical path *inside* a pair, not just across
-    /// pairs. A pair's wall clock is the sum of its loops' unit clocks —
-    /// CPU time, the same convention seed racing already uses — so the
-    /// per-stage breakdown still sums to it.
-    #[default]
-    Loop,
-}
-
-/// Runs the worker pool over the grid at the requested [`Granularity`],
-/// returning the per-cell results in grid order plus each pair's
-/// wall-clock nanoseconds and per-stage nanoseconds (indexed `spec-major ×
-/// program`; the bench harness reads them, plain suite runs drop them).
-/// Units are *dispatched* longest-pair-first (see
+/// The unit of work is one loop of one (machine, program) pair, so the
+/// heavy su2cor/fpppp pairs do not serialize a whole worker each and
+/// `--jobs N` cuts the critical path *inside* a pair, not just across
+/// pairs. Units are *dispatched* longest-pair-first (see
 /// [`PreparedSuite::dispatch`]) but every result lands in its grid-order
-/// slot. Each worker recycles one [`CompileScratch`] across all the units
-/// it runs.
-pub(crate) fn run_pool(
-    prep: &PreparedSuite,
-    jobs: usize,
-    granularity: Granularity,
-) -> (Vec<CellResult>, Vec<u64>, Vec<[u64; 4]>) {
-    match granularity {
-        Granularity::Pair => run_pool_pairs(prep, jobs),
-        Granularity::Loop => run_pool_loops(prep, jobs),
-    }
-}
-
-fn run_pool_pairs(prep: &PreparedSuite, jobs: usize) -> (Vec<CellResult>, Vec<u64>, Vec<[u64; 4]>) {
-    let n_pairs = prep.pair_count();
-    let jobs = prep.effective_jobs(jobs);
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<CellResult>> = (0..prep.cells.len()).map(|_| OnceLock::new()).collect();
-    let pair_nanos: Vec<OnceLock<u64>> = (0..n_pairs).map(|_| OnceLock::new()).collect();
-    let pair_stages: Vec<OnceLock<[u64; 4]>> = (0..n_pairs).map(|_| OnceLock::new()).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let d = next.fetch_add(1, Ordering::Relaxed);
-                if d >= n_pairs {
-                    break;
-                }
-                let k = prep.dispatch[d];
-                let (s, j) = (k / prep.n_programs, k % prep.n_programs);
-                let pair_cells: Vec<CellSpec> = (0..prep.n_modes)
-                    .map(|m| prep.cells[prep.cell_index(s, m, j)].clone())
-                    .collect();
-                let started = Instant::now();
-                let (results, stages) = run_pair_timed(
-                    &pair_cells,
-                    &prep.programs[j],
-                    &prep.machines[s],
-                    prep.refine_seeds,
-                );
-                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                for (m, r) in results.into_iter().enumerate() {
-                    slots[prep.cell_index(s, m, j)]
-                        .set(r)
-                        .expect("each cell index is claimed exactly once");
-                }
-                pair_nanos[k].set(nanos).expect("each pair timed once");
-                pair_stages[k].set(stages).expect("each pair staged once");
-            });
-        }
-    });
-
-    let results = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("pool completed every cell"))
-        .collect();
-    let nanos = pair_nanos
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("pool timed every pair"))
-        .collect();
-    let stages = pair_stages
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("pool staged every pair"))
-        .collect();
-    (results, nanos, stages)
-}
-
+/// slot. A pair's wall clock is the sum of its loops' unit clocks — CPU
+/// time, the same convention seed racing uses — so the per-stage
+/// breakdown still sums to it. Each worker recycles one [`CompileScratch`]
+/// across all the units it runs.
 /// One compiled unit of the loop-granular pool: the per-mode outcomes of
 /// one loop, the context's per-stage clocks, and the unit's wall time.
 type LoopUnitResult = (Vec<Option<cvliw_replicate::LoopStats>>, [u64; 4], u64);
 
-fn run_pool_loops(prep: &PreparedSuite, jobs: usize) -> (Vec<CellResult>, Vec<u64>, Vec<[u64; 4]>) {
+pub(crate) fn run_pool(
+    prep: &PreparedSuite,
+    jobs: usize,
+) -> (Vec<CellResult>, Vec<u64>, Vec<[u64; 4]>) {
     let n_pairs = prep.pair_count();
 
     // Flat (pair, loop) units in dispatch order: the heaviest pair's loops
@@ -366,8 +287,8 @@ fn run_pool_loops(prep: &PreparedSuite, jobs: usize) -> (Vec<CellResult>, Vec<u6
     });
 
     // Deterministic fold: units are grouped per pair with loops ascending,
-    // so each cell accumulates its loops in exactly the order the
-    // sequential pair walk uses — scheduling cannot reach a single byte.
+    // so each cell accumulates its loops in program order — scheduling
+    // cannot reach a single byte.
     let mut results: Vec<CellResult> = prep.cells.iter().map(CellResult::empty).collect();
     let mut nanos = vec![0u64; n_pairs];
     let mut stages = vec![[0u64; 4]; n_pairs];
@@ -405,23 +326,8 @@ fn run_pool_loops(prep: &PreparedSuite, jobs: usize) -> (Vec<CellResult>, Vec<u6
 /// Returns [`SuiteError`] if a spec does not parse, a program is unknown,
 /// or the grid is empty — all validated before any worker starts.
 pub fn run_suite(grid: &SuiteGrid, jobs: usize) -> Result<SuiteReport, SuiteError> {
-    run_suite_with(grid, jobs, Granularity::default())
-}
-
-/// [`run_suite`] at an explicit work-unit [`Granularity`]. The report is
-/// byte-identical across granularities and worker counts; only wall-clock
-/// time changes.
-///
-/// # Errors
-///
-/// Returns [`SuiteError`] under the same conditions as [`run_suite`].
-pub fn run_suite_with(
-    grid: &SuiteGrid,
-    jobs: usize,
-    granularity: Granularity,
-) -> Result<SuiteReport, SuiteError> {
     let prep = prepare(grid)?;
-    let (results, _timings, _stages) = run_pool(&prep, jobs, granularity);
+    let (results, _timings, _stages) = run_pool(&prep, jobs);
     Ok(SuiteReport::new(grid, results, &prep.programs))
 }
 
@@ -482,36 +388,28 @@ mod tests {
     #[test]
     fn intra_pair_jobs_are_byte_identical() {
         // The loop-granular pool must not be able to change a single byte
-        // of any emitted report — at any worker count, and relative to the
-        // pair-granular (lane-disabled) pool. Compare the rendered bytes,
+        // of any emitted report at any worker count — including counts
+        // that do not divide the unit count. Compare the rendered bytes,
         // not just the structs: the emitters are the determinism contract.
         let grid = tiny_grid();
-        let lanes1 = run_suite_with(&grid, 1, Granularity::Loop).unwrap();
-        let lanes4 = run_suite_with(&grid, 4, Granularity::Loop).unwrap();
-        let pairs1 = run_suite_with(&grid, 1, Granularity::Pair).unwrap();
-        let pairs4 = run_suite_with(&grid, 4, Granularity::Pair).unwrap();
+        let reports: Vec<(usize, SuiteReport)> = [1, 2, 4, 7]
+            .into_iter()
+            .map(|jobs| (jobs, run_suite(&grid, jobs).unwrap()))
+            .collect();
         for format in [
             crate::Format::Text,
             crate::Format::Csv,
             crate::Format::Json,
             crate::Format::Markdown,
         ] {
-            let reference = crate::emit(&lanes1, format);
-            assert_eq!(
-                reference,
-                crate::emit(&lanes4, format),
-                "lane count leaked into {format:?} bytes"
-            );
-            assert_eq!(
-                reference,
-                crate::emit(&pairs1, format),
-                "granularity leaked into {format:?} bytes"
-            );
-            assert_eq!(
-                reference,
-                crate::emit(&pairs4, format),
-                "granularity × jobs leaked into {format:?} bytes"
-            );
+            let reference = crate::emit(&reports[0].1, format);
+            for (jobs, report) in &reports[1..] {
+                assert_eq!(
+                    reference,
+                    crate::emit(report, format),
+                    "--jobs {jobs} leaked into {format:?} bytes"
+                );
+            }
         }
     }
 

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use cvliw_ddg::{Ddg, OpClass};
 use cvliw_machine::MachineConfig;
+use cvliw_sched::LoopAnalysis;
 
 use crate::matching::greedy_matching;
 use crate::partition::Partition;
@@ -82,13 +83,15 @@ fn macro_class_counts(ddg: &Ddg, macro_of: &[usize], n_macros: usize) -> Vec<[u3
 /// still fits a cluster's `units·II` capacity, and merges. When matching
 /// stalls (disconnected or capacity-blocked graphs) the two smallest
 /// macro-nodes are force-merged so the process always terminates.
+///
+/// One-shot convenience: computes a [`LoopAnalysis`] for the weights.
 #[must_use]
 pub fn coarsen(ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Hierarchy {
-    coarsen_from_weights(ddg, machine, ii, &edge_weights(ddg, machine, ii))
+    let analysis = LoopAnalysis::new(ddg, machine);
+    coarsen_from_weights(ddg, machine, ii, &edge_weights(ddg, machine, ii, &analysis))
 }
 
-/// [`coarsen`] with precomputed edge weights (see
-/// [`crate::edge_weights_with`] for the cached-analysis path).
+/// [`coarsen`] with precomputed edge weights (see [`crate::edge_weights`]).
 #[must_use]
 pub fn coarsen_from_weights(
     ddg: &Ddg,

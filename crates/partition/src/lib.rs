@@ -12,8 +12,8 @@
 //!    machine has clusters, recording every intermediate level.
 //! 3. **Initial partition** ([`Hierarchy::initial_partition`]): the
 //!    coarsest macro-nodes map one-to-one onto clusters.
-//! 4. **Refinement** ([`refine`]): walking the hierarchy back from coarse
-//!    to fine, macro-nodes are greedily moved between clusters whenever a
+//! 4. **Refinement**: walking the hierarchy back from coarse to fine,
+//!    macro-nodes are greedily moved between clusters whenever a
 //!    pseudo-schedule-based score ([`PartitionScore`]) improves.
 //!
 //! [`partition_loop`] bundles the whole pipeline; [`refine_existing`] is
@@ -54,11 +54,11 @@ pub use coarsen::{coarsen, coarsen_from_weights, CoarseLevel, Hierarchy};
 pub use matching::greedy_matching;
 pub use partition::Partition;
 pub use refine::{
-    refine, refine_existing, refine_existing_cached, refine_existing_oracle,
-    refine_existing_scratch, refine_existing_trace, refine_existing_with, score_partition,
-    score_partition_scratch, PartitionScore, RefineCache, RefineMove, RefineScratch,
+    refine_existing, refine_existing_cached, refine_existing_oracle, refine_existing_trace,
+    score_partition, score_partition_scratch, PartitionScore, RefineCache, RefineMove,
+    RefineScratch,
 };
-pub use weights::{edge_weights, edge_weights_with};
+pub use weights::edge_weights;
 
 use cvliw_ddg::Ddg;
 use cvliw_machine::MachineConfig;
@@ -68,34 +68,18 @@ use cvliw_sched::LoopAnalysis;
 ///
 /// `ii` is the initiation interval the partition is being built for
 /// (normally the loop's MII); capacities and pseudo-schedules are evaluated
-/// at this II.
+/// at this II. One-shot convenience over [`partition_loop_scratch`].
 #[must_use]
 pub fn partition_loop(ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Partition {
-    if machine.clusters() == 1 {
-        return Partition::single_cluster(ddg.node_count());
-    }
-    let hierarchy = coarsen(ddg, machine, ii);
-    let initial = hierarchy.initial_partition();
-    refine(ddg, machine, ii, &hierarchy, initial)
+    let analysis = LoopAnalysis::new(ddg, machine);
+    partition_loop_scratch(ddg, machine, ii, &analysis, &mut RefineScratch::default())
 }
 
-/// [`partition_loop`] on a cached [`LoopAnalysis`]: the edge weights reuse
-/// the cache's RecMII and SCC decomposition, and every pseudo-schedule
-/// evaluated during refinement reads the cached latency vector. The result
-/// is bit-identical to [`partition_loop`].
-#[must_use]
-pub fn partition_loop_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    analysis: &LoopAnalysis,
-) -> Partition {
-    partition_loop_scratch(ddg, machine, ii, analysis, &mut RefineScratch::default())
-}
-
-/// [`partition_loop_with`] on a persistent [`RefineScratch`], so the
-/// multilevel refinement walk is allocation-free too. Bit-identical to
-/// [`partition_loop`].
+/// [`partition_loop`] on a cached [`LoopAnalysis`] and a persistent
+/// [`RefineScratch`]: the edge weights reuse the cache's RecMII and SCC
+/// decomposition, every pseudo-schedule evaluated during refinement reads
+/// the cached latency vector, and the multilevel refinement walk is
+/// allocation-free.
 #[must_use]
 pub fn partition_loop_scratch(
     ddg: &Ddg,
@@ -104,13 +88,7 @@ pub fn partition_loop_scratch(
     analysis: &LoopAnalysis,
     scratch: &mut RefineScratch,
 ) -> Partition {
-    if machine.clusters() == 1 {
-        return Partition::single_cluster(ddg.node_count());
-    }
-    let weights = edge_weights_with(ddg, machine, ii, analysis);
-    let hierarchy = coarsen_from_weights(ddg, machine, ii, &weights);
-    let initial = hierarchy.initial_partition();
-    refine::refine_inner(ddg, machine, ii, &hierarchy, initial, analysis, scratch)
+    partition_loop_variant(ddg, machine, ii, analysis, scratch, 0)
 }
 
 /// [`partition_loop_scratch`] with a refinement perturbation index, the
@@ -118,9 +96,8 @@ pub fn partition_loop_scratch(
 /// target-cluster scan order inside every refinement level, so ties in the
 /// greedy move selection break toward different clusters and the walk
 /// explores a different trajectory through the same score landscape.
-/// `variant == 0` is the canonical order — bit-identical to
-/// [`partition_loop_scratch`]; any other variant still only ever accepts
-/// strictly score-improving moves.
+/// `variant == 0` is the canonical order ([`partition_loop_scratch`]); any
+/// other variant still only ever accepts strictly score-improving moves.
 #[must_use]
 pub fn partition_loop_variant(
     ddg: &Ddg,
@@ -133,10 +110,10 @@ pub fn partition_loop_variant(
     if machine.clusters() == 1 {
         return Partition::single_cluster(ddg.node_count());
     }
-    let weights = edge_weights_with(ddg, machine, ii, analysis);
+    let weights = edge_weights(ddg, machine, ii, analysis);
     let hierarchy = coarsen_from_weights(ddg, machine, ii, &weights);
     let initial = hierarchy.initial_partition();
-    refine::refine_inner_variant(
+    refine::refine_hierarchy(
         ddg, machine, ii, &hierarchy, initial, analysis, scratch, variant,
     )
 }

@@ -321,7 +321,7 @@ impl RefineCache {
     /// safe to hand to a *different* `(graph, machine)` pair. Callers that
     /// recycle a cache-bearing scratch across loops must call this at the
     /// hand-over — two graphs can share a node count, and then nothing in
-    /// [`RefineCache::prepare`] would notice the swap.
+    /// `RefineCache::prepare` would notice the swap.
     pub fn invalidate(&mut self) {
         self.primed = false;
     }
@@ -411,45 +411,12 @@ impl RefineCache {
 
 /// Refines a partition by walking the hierarchy from coarse to fine,
 /// greedily moving macro-nodes between clusters while the score improves.
-#[must_use]
-pub fn refine(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    hierarchy: &Hierarchy,
-    initial: Partition,
-) -> Partition {
-    let analysis = LoopAnalysis::new(ddg, machine);
-    refine_inner(
-        ddg,
-        machine,
-        ii,
-        hierarchy,
-        initial,
-        &analysis,
-        &mut RefineScratch::default(),
-    )
-}
-
-pub(crate) fn refine_inner(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    hierarchy: &Hierarchy,
-    initial: Partition,
-    analysis: &LoopAnalysis,
-    scratch: &mut RefineScratch,
-) -> Partition {
-    refine_inner_variant(ddg, machine, ii, hierarchy, initial, analysis, scratch, 0)
-}
-
-/// [`refine_inner`] with a perturbation index for best-of-N seed racing:
 /// `variant` rotates the target-cluster scan order inside every level, so
 /// score *ties* between destination clusters break differently and the
-/// greedy walk explores a different trajectory. `variant == 0` is the
-/// canonical order — bit-identical to [`refine_inner`].
+/// greedy walk explores a different trajectory; `variant == 0` is the
+/// canonical order.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_inner_variant(
+pub(crate) fn refine_hierarchy(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
@@ -478,60 +445,24 @@ pub(crate) fn refine_inner_variant(
 }
 
 /// The "Refine Partition" box of the paper's Figure 2: refinement at node
-/// granularity only, used by the driver whenever it increases the II.
+/// granularity only, applied whenever the II increases.
+///
+/// One-shot convenience: computes a [`LoopAnalysis`] internally. The
+/// driver refines through [`refine_existing_cached`].
 #[must_use]
 pub fn refine_existing(ddg: &Ddg, machine: &MachineConfig, ii: u32, part: Partition) -> Partition {
     if machine.clusters() == 1 {
         return part;
     }
     let analysis = LoopAnalysis::new(ddg, machine);
-    refine_existing_scratch(
-        ddg,
-        machine,
-        ii,
-        part,
-        &analysis,
-        &mut RefineScratch::default(),
-    )
+    let mut scratch = RefineScratch::default();
+    refine_existing_driver(ddg, machine, ii, part, &analysis, &mut scratch, None, None)
 }
 
-/// [`refine_existing`] on a cached [`LoopAnalysis`] (bit-identical results;
-/// the II-invariant latency vector is read from the cache).
-#[must_use]
-pub fn refine_existing_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    part: Partition,
-    analysis: &LoopAnalysis,
-) -> Partition {
-    refine_existing_scratch(
-        ddg,
-        machine,
-        ii,
-        part,
-        analysis,
-        &mut RefineScratch::default(),
-    )
-}
-
-/// [`refine_existing_with`] on a persistent [`RefineScratch`] — bit-identical
-/// to [`refine_existing`].
-#[must_use]
-pub fn refine_existing_scratch(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    ii: u32,
-    part: Partition,
-    analysis: &LoopAnalysis,
-    scratch: &mut RefineScratch,
-) -> Partition {
-    refine_existing_driver(ddg, machine, ii, part, analysis, scratch, None, None)
-}
-
-/// [`refine_existing_scratch`] with a persistent [`RefineCache`] — the
-/// driver's per-II entry point. The cache must only ever see this one
-/// `(graph, machine)` pair. Bit-identical to [`refine_existing`].
+/// [`refine_existing`] on a cached [`LoopAnalysis`], a persistent
+/// [`RefineScratch`] and a persistent [`RefineCache`] — the driver's per-II
+/// entry point. The cache must only ever see this one `(graph, machine)`
+/// pair. Bit-identical to [`refine_existing`].
 #[must_use]
 pub fn refine_existing_cached(
     ddg: &Ddg,
@@ -607,7 +538,7 @@ fn refine_existing_driver(
     )
 }
 
-/// A from-scratch reference implementation of [`refine_existing_scratch`]:
+/// A from-scratch reference implementation of [`refine_existing_cached`]:
 /// the same greedy walk, but every candidate is scored with a full
 /// pseudo-schedule — no lazy rejection, no incremental ASAP, no cache.
 /// Returns the refined partition and the accepted-move sequence; the
@@ -1358,7 +1289,9 @@ mod tests {
         let h = coarsen(&ddg, &m, 2);
         let initial = h.initial_partition();
         let initial_score = score_partition(&ddg, &initial, &m, 2);
-        let refined = refine(&ddg, &m, 2, &h, initial);
+        let analysis = LoopAnalysis::new(&ddg, &m);
+        let mut scratch = RefineScratch::default();
+        let refined = refine_hierarchy(&ddg, &m, 2, &h, initial, &analysis, &mut scratch, 0);
         let refined_score = score_partition(&ddg, &refined, &m, 2);
         assert!(refined_score <= initial_score);
     }
@@ -1426,7 +1359,16 @@ mod tests {
         for ii in 1..6 {
             let bad = Partition::from_vec(vec![0, 1, 0, 1, 0, 1]);
             let fresh = refine_existing(&ddg, &m, ii, bad.clone());
-            let reused = refine_existing_scratch(&ddg, &m, ii, bad, &analysis, &mut scratch);
+            let reused = refine_existing_trace(
+                &ddg,
+                &m,
+                ii,
+                bad,
+                &analysis,
+                &mut scratch,
+                None,
+                &mut Vec::new(),
+            );
             assert_eq!(fresh, reused, "ii={ii}");
         }
     }

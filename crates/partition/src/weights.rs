@@ -1,7 +1,7 @@
 //! Slack-based edge weights: the cost of paying a bus latency on a
 //! dependence (reference [1] of the paper).
 
-use cvliw_ddg::{rec_mii, scc_of_node, sccs, time_bounds, Ddg, Edge, TimeBounds};
+use cvliw_ddg::{time_bounds, Ddg};
 use cvliw_machine::MachineConfig;
 use cvliw_sched::LoopAnalysis;
 
@@ -22,30 +22,11 @@ const BASE_WEIGHT: u64 = 1;
 /// Memory-ordering edges get weight 0: cutting them costs nothing because
 /// the memory hierarchy is centralized. Data edges cost more the less slack
 /// they have at the loop's MII-feasible II, and far more when they sit on a
-/// recurrence.
+/// recurrence. The RecMII, the SCC decomposition and the latencies are read
+/// from the loop's cached [`LoopAnalysis`]; only the II-dependent slack
+/// bounds are evaluated per call.
 #[must_use]
-pub fn edge_weights(ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Vec<u64> {
-    let lat = machine.edge_latency(ddg);
-    let feasible_ii = ii.max(rec_mii(ddg, &lat));
-    let bounds =
-        time_bounds(ddg, feasible_ii, &lat).expect("II at or above RecMII always has time bounds");
-
-    let comps = sccs(ddg);
-    let of = scc_of_node(ddg);
-    let nontrivial: Vec<bool> = comps
-        .iter()
-        .map(|c| c.len() > 1 || ddg.out_edges(c[0]).any(|e| e.dst == c[0]))
-        .collect();
-
-    weights_core(ddg, machine, feasible_ii, &bounds, &of, &nontrivial, &lat)
-}
-
-/// [`edge_weights`] on a cached [`LoopAnalysis`]: the RecMII and SCC
-/// decomposition are read from the cache instead of being recomputed, only
-/// the II-dependent slack bounds are evaluated per call. Bit-identical to
-/// the uncached variant.
-#[must_use]
-pub fn edge_weights_with(
+pub fn edge_weights(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii: u32,
@@ -55,26 +36,9 @@ pub fn edge_weights_with(
     let feasible_ii = ii.max(analysis.rec_mii());
     let bounds =
         time_bounds(ddg, feasible_ii, &lat).expect("II at or above RecMII always has time bounds");
-    weights_core(
-        ddg,
-        machine,
-        feasible_ii,
-        &bounds,
-        analysis.scc_of(),
-        analysis.scc_recurrent(),
-        &lat,
-    )
-}
+    let of = analysis.scc_of();
+    let nontrivial = analysis.scc_recurrent();
 
-fn weights_core(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    feasible_ii: u32,
-    bounds: &TimeBounds,
-    of: &[usize],
-    nontrivial: &[bool],
-    lat: impl Fn(&Edge) -> u32,
-) -> Vec<u64> {
     // The conservative scalar communication cost: the worst transfer
     // latency any cluster pair can pay (= the bus latency on shared-bus
     // machines, so the paper configurations score identically).
@@ -106,6 +70,11 @@ mod tests {
         MachineConfig::from_spec("4c1b2l64r").unwrap()
     }
 
+    fn weights(ddg: &Ddg, ii: u32) -> Vec<u64> {
+        let m = machine();
+        edge_weights(ddg, &m, ii, &LoopAnalysis::new(ddg, &m))
+    }
+
     #[test]
     fn mem_edges_are_free() {
         let mut b = Ddg::builder();
@@ -113,7 +82,7 @@ mod tests {
         let ld = b.add_node(OpKind::Load);
         b.mem_dep(st, ld, 1);
         let ddg = b.build().unwrap();
-        assert_eq!(edge_weights(&ddg, &machine(), 1), vec![0]);
+        assert_eq!(weights(&ddg, 1), vec![0]);
     }
 
     #[test]
@@ -125,7 +94,7 @@ mod tests {
         let z = b.add_node(OpKind::FpAdd);
         b.data(y, z); // acyclic exit edge — wait, y is in the SCC, z outside
         let ddg = b.build().unwrap();
-        let w = edge_weights(&ddg, &machine(), 6);
+        let w = weights(&ddg, 6);
         assert!(
             w[0] > w[2],
             "cycle edge {} should outweigh exit edge {}",
@@ -148,7 +117,7 @@ mod tests {
         b.data(a, c1).data(c1, c2).data(c2, sink); // critical path
         b.data(a, short).data(short, sink); // slack path
         let ddg = b.build().unwrap();
-        let w = edge_weights(&ddg, &machine(), 2);
+        let w = weights(&ddg, 2);
         // edge 0 (a→c1, critical) heavier than edge 3 (a→short, slack)
         assert!(w[0] > w[3], "critical {} vs slack {}", w[0], w[3]);
     }
@@ -160,7 +129,7 @@ mod tests {
         let c = b.add_node(OpKind::FpMul);
         b.data(a, c);
         let ddg = b.build().unwrap();
-        let w = edge_weights(&ddg, &machine(), 1);
+        let w = weights(&ddg, 1);
         assert_eq!(w.len(), ddg.edge_count());
         assert!(w[0] >= 1);
     }

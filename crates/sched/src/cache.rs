@@ -36,10 +36,10 @@ use crate::order::{comp_index, comp_rec_miis, is_recurrent_comp, sms_order_parts
 
 /// Every II-invariant artifact of one `(loop, machine)` pair.
 ///
-/// Build it once per loop × machine and pass it by reference to the `_with`
-/// variants of the pipeline entry points (`compile_loop_with`,
-/// `schedule_with_analysis`, `partition_loop_with`, …). All accessors are
-/// cheap slice reads.
+/// Build it once per loop × machine and pass it by reference to the
+/// pipeline's per-loop entry points (`partition_loop_scratch`,
+/// `schedule_with_scratch`, …); `cvliw_replicate::CompileContext` owns one
+/// per compiled loop. All accessors are cheap slice reads.
 #[derive(Clone, Debug)]
 pub struct LoopAnalysis {
     node_lat: Vec<u32>,

@@ -70,8 +70,7 @@ pub use mii::{ii_part, mii, res_mii_assigned, res_mii_unclustered};
 pub use mrt::Mrt;
 pub use order::{neighbor_adjacency_ratio, sms_order};
 pub use pseudo::{
-    comm_penalty, pseudo_schedule, pseudo_schedule_scratch, pseudo_schedule_with, PseudoSchedule,
-    PseudoScratch,
+    comm_penalty, pseudo_schedule, pseudo_schedule_scratch, PseudoSchedule, PseudoScratch,
 };
 pub use regalloc::{
     allocate_registers, ClusterAllocation, OutOfRegisters, RegAssignment, RegisterAllocation,
@@ -80,6 +79,6 @@ pub use regs::{
     lifetime_of, live_ranges, max_live, max_live_scratch, peak_pressure, Range, RegScratch,
 };
 pub use schedule::{
-    schedule, schedule_with, schedule_with_analysis, schedule_with_scratch, CopyPlacement,
-    OrderStrategy, SchedOp, SchedScratch, Schedule, ScheduleRequest,
+    schedule, schedule_with_scratch, CopyPlacement, OrderStrategy, SchedOp, SchedScratch, Schedule,
+    ScheduleRequest,
 };

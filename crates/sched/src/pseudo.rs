@@ -7,7 +7,7 @@
 //! is added to cross-cluster dependences, roughly how long would one
 //! iteration be, and how hard would it press on the register files.
 
-use cvliw_ddg::{asap_times_into, time_bounds, Ddg, OpClass};
+use cvliw_ddg::{asap_times_into, Ddg, OpClass};
 use cvliw_machine::MachineConfig;
 
 use crate::assign::{Assignment, ClusterSet};
@@ -87,6 +87,9 @@ impl PseudoSchedule {
 }
 
 /// Builds the pseudo-schedule estimate of an assignment.
+///
+/// One-shot convenience: computes a [`LoopAnalysis`] internally. Partition
+/// refinement scores through [`pseudo_schedule_scratch`].
 #[must_use]
 pub fn pseudo_schedule(
     ddg: &Ddg,
@@ -94,33 +97,29 @@ pub fn pseudo_schedule(
     machine: &MachineConfig,
     ii: u32,
 ) -> PseudoSchedule {
-    pseudo_schedule_core(ddg, assignment, machine, ii, |n| {
-        machine.latency(ddg.kind(n))
-    })
+    let analysis = LoopAnalysis::new(ddg, machine);
+    pseudo_schedule_scratch(
+        ddg,
+        assignment,
+        machine,
+        ii,
+        &analysis,
+        &mut PseudoScratch::default(),
+    )
 }
 
-/// [`pseudo_schedule`] on a cached [`LoopAnalysis`]: producer latencies are
-/// read from the cache's dense vector instead of being looked up per edge.
-/// Bit-identical to the uncached variant.
-#[must_use]
-pub fn pseudo_schedule_with(
-    ddg: &Ddg,
-    assignment: &Assignment,
-    machine: &MachineConfig,
-    ii: u32,
-    analysis: &LoopAnalysis,
-) -> PseudoSchedule {
-    pseudo_schedule_core(ddg, assignment, machine, ii, |n| {
-        analysis.node_lat()[n.index()]
-    })
-}
-
-/// [`pseudo_schedule_with`] into caller-owned scratch buffers — the
-/// allocation-free scoring path of partition refinement. Bit-identical
-/// results: the comm-adjusted latencies, the ASAP fixpoint (same relaxation
-/// order and pass bound as [`time_bounds`]) and the register estimate are
-/// the same computations, just written into reused storage, and the ALAP
-/// sweep — whose output no score reads — is skipped.
+/// [`pseudo_schedule`] on a cached [`LoopAnalysis`] and caller-owned
+/// scratch buffers — the allocation-free scoring path of partition
+/// refinement.
+///
+/// Capacity: every (cluster, class) must fit its instances in `units·II`.
+/// Critical path: a data edge whose consumer lives in a cluster without
+/// the producer pays the transfer; the ASAP fixpoint uses the same
+/// relaxation order and pass bound as [`cvliw_ddg::time_bounds`] (its ALAP
+/// sweep, which no score reads, is skipped). Registers: each value's
+/// lifetime spans from its definition to its furthest consumer (plus
+/// iteration distance), and overlapped copies cost `ceil(lifetime / II)`
+/// registers in each cluster holding it.
 #[must_use]
 pub fn pseudo_schedule_scratch(
     ddg: &Ddg,
@@ -199,92 +198,6 @@ pub fn pseudo_schedule_scratch(
             .sum()
     } else {
         0
-    };
-
-    PseudoSchedule {
-        ncoms,
-        bus_ok,
-        cap_overflow,
-        recurrences_ok,
-        est_length,
-        reg_overflow,
-    }
-}
-
-fn pseudo_schedule_core(
-    ddg: &Ddg,
-    assignment: &Assignment,
-    machine: &MachineConfig,
-    ii: u32,
-    base_lat: impl Fn(cvliw_ddg::NodeId) -> u32,
-) -> PseudoSchedule {
-    let ncoms = assignment.comm_count(ddg);
-    let bus_ok = ncoms <= machine.coms_capacity_per_ii(ii);
-
-    // Capacity: every (cluster, class) must fit its instances in units·II.
-    let usage = assignment.class_usage(ddg, machine.clusters());
-    let mut cap_overflow = 0u32;
-    for (c, per_cluster) in usage.iter().enumerate() {
-        for class in OpClass::ALL {
-            let cap = u32::from(machine.fu_count_in(c as u8, class)) * ii;
-            cap_overflow += per_cluster[class.index()].saturating_sub(cap);
-        }
-    }
-
-    // Critical path with communication latencies: a data edge whose
-    // consumer lives in a cluster without the producer pays the transfer.
-    let uniform = machine.uniform_transfer_latency();
-    let lat = |e: &cvliw_ddg::Edge| {
-        let base = base_lat(e.src);
-        if !e.is_data() {
-            return base;
-        }
-        let missing = assignment
-            .instances(e.dst)
-            .difference(assignment.instances(e.src));
-        if missing.is_empty() {
-            base
-        } else {
-            base + comm_penalty(machine, assignment, e.src, missing, uniform)
-        }
-    };
-    let (recurrences_ok, est_length, asap) = match time_bounds(ddg, ii, lat) {
-        Some(tb) => (true, tb.length, Some(tb.asap)),
-        None => (false, i64::MAX, None),
-    };
-
-    // Register estimate: each value's lifetime spans from its definition to
-    // its furthest consumer (plus iteration distance); overlapped copies
-    // cost ceil(lifetime / II) registers in each cluster holding it.
-    let reg_overflow = match &asap {
-        None => 0,
-        Some(asap) => {
-            let mut est = vec![0u64; machine.clusters() as usize];
-            for n in ddg.node_ids() {
-                if !ddg.kind(n).produces_value() {
-                    continue;
-                }
-                let def = asap[n.index()];
-                let mut last = def + i64::from(base_lat(n));
-                for e in ddg.out_edges(n) {
-                    if e.is_data() {
-                        last =
-                            last.max(asap[e.dst.index()] + i64::from(ii) * i64::from(e.distance));
-                    }
-                }
-                let span = u64::try_from((last - def).max(1)).expect("non-negative");
-                let regs = span.div_ceil(u64::from(ii));
-                for c in assignment.instances(n).iter() {
-                    est[c as usize] += regs;
-                }
-            }
-            est.iter()
-                .map(|&e| {
-                    u32::try_from(e.saturating_sub(u64::from(machine.regs_per_cluster())))
-                        .unwrap_or(u32::MAX)
-                })
-                .sum()
-        }
     };
 
     PseudoSchedule {

@@ -10,7 +10,6 @@ use crate::assign::{Assignment, ClusterSet};
 use crate::cache::LoopAnalysis;
 use crate::error::{ScheduleError, VerifyError};
 use crate::mrt::Mrt;
-use crate::order::sms_order;
 use crate::regs::{max_live, max_live_scratch, RegScratch};
 
 /// One schedulable operation: an instance of a DDG node in a concrete
@@ -400,7 +399,7 @@ impl Schedule {
 /// Which node ordering drives the backtracking-free placer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OrderStrategy {
-    /// Swing modulo scheduling ([`sms_order`]): best schedule quality, but
+    /// Swing modulo scheduling ([`crate::sms_order`]): best schedule quality, but
     /// its alternating sweeps can sandwich a join node between already
     /// placed neighbours whose distance-0 window never opens, failing at
     /// every II.
@@ -603,49 +602,22 @@ fn build_arena(req: &ScheduleRequest<'_>, node_order: &[NodeId], scratch: &mut S
 /// Returns a [`ScheduleError`] describing why this II is insufficient; the
 /// driver is expected to increase the II and retry (Figure 2 of the paper).
 pub fn schedule(req: &ScheduleRequest<'_>) -> Result<Schedule, ScheduleError> {
-    schedule_with(req, OrderStrategy::Swing)
+    let analysis = LoopAnalysis::new(req.ddg, req.machine);
+    schedule_with_scratch(
+        req,
+        OrderStrategy::Swing,
+        &analysis,
+        &mut SchedScratch::default(),
+    )
 }
 
-/// [`schedule`] with an explicit ordering strategy (see [`OrderStrategy`]).
-///
-/// One-shot convenience: recomputes the node order from scratch. The
-/// driver's II loop passes a cached order through
-/// [`schedule_with_analysis`] instead.
-///
-/// # Errors
-///
-/// As for [`schedule`].
-pub fn schedule_with(
-    req: &ScheduleRequest<'_>,
-    strategy: OrderStrategy,
-) -> Result<Schedule, ScheduleError> {
-    let node_order = match strategy {
-        OrderStrategy::Swing => sms_order(req.ddg, req.machine),
-        OrderStrategy::Topological => cvliw_ddg::topo_order(req.ddg),
-    };
-    schedule_ordered(req, &node_order)
-}
-
-/// [`schedule_with`] on a cached [`LoopAnalysis`]: the node order (and
-/// everything it derives from — latencies, SCCs, depth/height) is read from
-/// the cache instead of being recomputed per attempt. Produces bit-identical
-/// schedules to the uncached entry points.
-///
-/// # Errors
-///
-/// As for [`schedule`].
-pub fn schedule_with_analysis(
-    req: &ScheduleRequest<'_>,
-    strategy: OrderStrategy,
-    analysis: &LoopAnalysis,
-) -> Result<Schedule, ScheduleError> {
-    schedule_with_scratch(req, strategy, analysis, &mut SchedScratch::default())
-}
-
-/// [`schedule_with_analysis`] on a persistent [`SchedScratch`]: the arena,
-/// reservation table, placement arrays and MaxLive buffers are reused from
-/// the previous attempt instead of being reallocated. Bit-identical
-/// schedules — the scratch is fully reset before use.
+/// [`schedule`] with an explicit ordering strategy (see [`OrderStrategy`])
+/// on a cached [`LoopAnalysis`] and a persistent [`SchedScratch`]: the node
+/// order (and everything it derives from — latencies, SCCs, depth/height)
+/// is read from the cache instead of being recomputed per attempt, and the
+/// arena, reservation table, placement arrays and MaxLive buffers are
+/// reused from the previous attempt. The scratch is fully reset before
+/// use, so its history never reaches a schedule.
 ///
 /// # Errors
 ///
@@ -664,15 +636,7 @@ pub fn schedule_with_scratch(
 }
 
 /// The placement core: modulo-schedules the assignment with operations
-/// visited in `node_order`.
-fn schedule_ordered(
-    req: &ScheduleRequest<'_>,
-    node_order: &[NodeId],
-) -> Result<Schedule, ScheduleError> {
-    schedule_ordered_scratch(req, node_order, &mut SchedScratch::default())
-}
-
-/// [`schedule_ordered`] with every attempt-local buffer drawn from
+/// visited in `node_order`, every attempt-local buffer drawn from
 /// `scratch`.
 fn schedule_ordered_scratch(
     req: &ScheduleRequest<'_>,

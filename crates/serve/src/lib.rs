@@ -4,7 +4,7 @@
 //! A long-running daemon accepts compile requests — loop source, machine
 //! spec, mode, optional seed-racing width — as JSONL over stdin or a Unix
 //! socket, and answers each with exactly the counters a one-shot
-//! `compile_stats` run would report. Three guarantees, pinned by the
+//! `compile_loop` run would report. Three guarantees, pinned by the
 //! differential test layer:
 //!
 //! * **Byte identity** — a served response body equals the one-shot

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! A compile response is `{"id":1,"ok":{...}}` with the same counters a
-//! one-shot `compile_stats` run reports, or `{"id":1,"error":{...}}`. The
+//! one-shot `compile_loop` run reports, or `{"id":1,"error":{...}}`. The
 //! **body after the id is a pure function of (loop structure, machine,
 //! mode, seeds)** — it never mentions the cache, a worker, or timing, which
 //! is what lets the server return cached bytes verbatim and stay

@@ -59,7 +59,7 @@ use cvliw_ddg::Ddg;
 use cvliw_ir::parse_loop;
 use cvliw_machine::MachineConfig;
 use cvliw_replicate::{
-    compile_stats_ctx, fnv1a_64, loop_fingerprint, CompileContext, CompileError, CompileOptions,
+    compile_loop_ctx, fnv1a_64, loop_fingerprint, CompileContext, CompileError, CompileOptions,
     Mode,
 };
 
@@ -921,7 +921,7 @@ fn compile_one(
     if let Some(stall) = env.fault.stall_at(job.stamp) {
         thread::sleep(stall);
     }
-    let result = compile_stats_ctx(&entry.ddg, machine, &opts, &entry.ctx);
+    let result = compile_loop_ctx(&entry.ddg, machine, &opts, &entry.ctx).map(|c| c.stats);
     if let Some(token) = token {
         token.disarm_deadline();
     }

@@ -9,9 +9,15 @@
 //! looked up by reference, cached payloads come back as `Arc` refcount
 //! bumps, and with no miss in the batch the worker fan-out (and its
 //! `thread::scope`) is skipped entirely.
+//!
+//! The counter is process-wide on purpose: a per-thread counter would miss
+//! allocations on the serve worker threads, which the gate must catch. So
+//! the tests in this file must not measure concurrently — each holds
+//! [`serial`] for its whole body, whatever `--test-threads` says.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cvliw_serve::testutil::{request_line, TINY_LOOP};
 use cvliw_serve::{Server, ServerConfig};
@@ -37,6 +43,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
+/// Serializes the tests that read [`ALLOCS`]: another test's cold pass
+/// allocating mid-measurement would fail the gate for nothing. A test that
+/// panicked while holding the guard has already failed, so a poisoned lock
+/// is taken over rather than failing the rest.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A second distinct loop so the warm batch exercises more than one
 /// cache entry.
 const OTHER_LOOP: &str =
@@ -44,6 +59,7 @@ const OTHER_LOOP: &str =
 
 #[test]
 fn warm_batch_allocates_nothing() {
+    let _serial = serial();
     let mut server = Server::new(ServerConfig {
         jobs: 2,
         ..ServerConfig::default()
@@ -94,6 +110,7 @@ fn warm_batch_allocates_nothing() {
 /// allocation count stays exactly zero.
 #[test]
 fn warm_batch_with_deadline_and_inflight_bound_still_allocates_nothing() {
+    let _serial = serial();
     let mut server = Server::new(ServerConfig {
         jobs: 2,
         deadline_ms: Some(10_000),
@@ -139,6 +156,7 @@ fn warm_batch_with_deadline_and_inflight_bound_still_allocates_nothing() {
 fn warm_batch_with_persistence_enabled_still_allocates_nothing() {
     use cvliw_serve::{PersistConfig, SharedState};
 
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("cvliw-alloc-persist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = cvliw_serve::ServerConfig {

@@ -12,7 +12,7 @@
 #![cfg(feature = "fault-inject")]
 
 use cvliw_machine::MachineConfig;
-use cvliw_replicate::{compile_stats_ctx, CompileContext, CompileOptions, Mode};
+use cvliw_replicate::{compile_loop_ctx, CompileContext, CompileOptions, Mode};
 use cvliw_serve::testutil::request_line;
 use cvliw_serve::{
     render_compile_error_body, render_ok_body, render_response, FaultPlan, Server, ServerConfig,
@@ -43,8 +43,8 @@ fn oneshot_response(id: u64, src: &str) -> String {
         max_ii: None,
     };
     let mut body = String::new();
-    match compile_stats_ctx(&ddg, &machine, &opts, &ctx) {
-        Ok(stats) => render_ok_body(&stats, &mut body),
+    match compile_loop_ctx(&ddg, &machine, &opts, &ctx) {
+        Ok(c) => render_ok_body(&c.stats, &mut body),
         Err(e) => render_compile_error_body(&e, &mut body),
     }
     let mut out = String::new();

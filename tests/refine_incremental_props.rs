@@ -20,7 +20,7 @@
 
 use cvliw::machine::MachineConfig;
 use cvliw::partition::{
-    partition_loop_with, refine_existing_oracle, refine_existing_trace, RefineCache, RefineMove,
+    partition_loop_scratch, refine_existing_oracle, refine_existing_trace, RefineCache, RefineMove,
     RefineScratch,
 };
 use cvliw::sched::LoopAnalysis;
@@ -80,11 +80,10 @@ proptest! {
             let machine = MachineConfig::from_spec(spec).expect("preset parses");
             let analysis = LoopAnalysis::new(&ddg, &machine);
             let mii = analysis.mii();
-            let mut part = partition_loop_with(&ddg, &machine, mii, &analysis);
-
             // One scratch and one cache across the whole climb, like the
             // driver's per-(loop, machine) compile scratch.
             let mut scratch = RefineScratch::default();
+            let mut part = partition_loop_scratch(&ddg, &machine, mii, &analysis, &mut scratch);
             let mut cache = RefineCache::default();
             for ii in mii..mii + II_STEPS {
                 let (oracle_part, oracle_moves) =
@@ -127,9 +126,8 @@ proptest! {
             let machine = MachineConfig::from_spec(spec).expect("preset parses");
             let analysis = LoopAnalysis::new(&ddg, &machine);
             let mii = analysis.mii();
-            let seed_part = partition_loop_with(&ddg, &machine, mii, &analysis);
-
             let mut scratch = RefineScratch::default();
+            let seed_part = partition_loop_scratch(&ddg, &machine, mii, &analysis, &mut scratch);
             let mut cache = RefineCache::default();
             let mut cached_part = seed_part.clone();
             let mut uncached_part = seed_part;

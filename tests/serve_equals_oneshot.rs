@@ -12,7 +12,7 @@
 //! diff on a shrunken request stream.
 
 use cvliw::machine::{paper_specs, MachineConfig};
-use cvliw::replicate::{compile_stats_ctx, CompileContext, CompileOptions, Mode};
+use cvliw::replicate::{compile_loop_ctx, CompileContext, CompileOptions, Mode};
 use cvliw::serve::testutil::request_line;
 use cvliw::serve::{
     render_compile_error_body, render_ok_body, render_response, Server, ServerConfig,
@@ -54,8 +54,8 @@ fn oneshot_response(id: u64, src: &str, spec: &str, mode: Mode, seeds: u32) -> S
     let ctx = CompileContext::new(&ddg, &machine).with_refine_seeds(seeds);
     let opts = CompileOptions { mode, max_ii: None };
     let mut body = String::new();
-    match compile_stats_ctx(&ddg, &machine, &opts, &ctx) {
-        Ok(stats) => render_ok_body(&stats, &mut body),
+    match compile_loop_ctx(&ddg, &machine, &opts, &ctx) {
+        Ok(c) => render_ok_body(&c.stats, &mut body),
         Err(e) => render_compile_error_body(&e, &mut body),
     }
     let mut out = String::new();
