@@ -91,6 +91,18 @@ impl GridTraffic {
     }
 }
 
+/// Pushes one pass through `server` in [`cvliw_serve::MAX_BATCH`]-line
+/// batches; returns the response text and the pass's wall-clock
+/// milliseconds.
+fn timed_pass(server: &mut Server, lines: &[String]) -> (String, f64) {
+    let mut out = String::new();
+    let started = Instant::now();
+    for batch in lines.chunks(cvliw_serve::MAX_BATCH) {
+        server.process_batch(batch, &mut out);
+    }
+    (out, started.elapsed().as_secs_f64() * 1e3)
+}
+
 /// Strips the id prefix of every response line, leaving the body bytes
 /// two passes must agree on.
 fn strip_ids(out: &str) -> Vec<String> {
@@ -121,32 +133,17 @@ pub fn serve_replay(grid: &SuiteGrid, jobs: usize) -> Result<ServeReport, SuiteE
     let traffic = GridTraffic::build(grid, &prep);
     let requests = traffic.sources.len();
 
+    // The cache must hold the whole grid for the warm pass to be a pure
+    // hit storm — that is the scenario this bench exists to time.
     let mut server = Server::new(ServerConfig {
         jobs,
-        // The cache must hold the whole grid for the warm pass to be a
-        // pure hit storm — that is the scenario this bench exists to time.
-        // ×8 gives every stripe of the lock-striped front headroom for
-        // hash skew (per-stripe capacity is total/stripes).
-        cache_entries: requests.max(1) * 8,
+        cache_entries: requests.max(1),
         ..ServerConfig::default()
     });
 
-    let cold_lines = traffic.render_pass(0);
-    let mut cold_out = String::new();
-    let started = Instant::now();
-    for batch in cold_lines.chunks(cvliw_serve::MAX_BATCH) {
-        server.process_batch(batch, &mut cold_out);
-    }
-    let cold_wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let (cold_out, cold_wall_ms) = timed_pass(&mut server, &traffic.render_pass(0));
     let cold_stats = server.stats();
-
-    let warm_lines = traffic.render_pass(requests as u64);
-    let mut warm_out = String::new();
-    let started = Instant::now();
-    for batch in warm_lines.chunks(cvliw_serve::MAX_BATCH) {
-        server.process_batch(batch, &mut warm_out);
-    }
-    let warm_wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let (warm_out, warm_wall_ms) = timed_pass(&mut server, &traffic.render_pass(requests as u64));
     let warm_stats = server.stats();
 
     // Byte-identity: strip the id prefix of every response line; the
@@ -239,7 +236,7 @@ pub fn serve_restart_replay(
     ));
     let cfg = ServerConfig {
         jobs,
-        cache_entries: requests.max(1) * 8,
+        cache_entries: requests.max(1),
         ..ServerConfig::default()
     };
     // Journal every insert, compact only at the explicit shutdown
@@ -254,11 +251,7 @@ pub fn serve_restart_replay(
     // First life: cold-compile the grid, snapshot, "crash" (drop).
     let (shared, _) = SharedState::with_persistence(&cfg, &pcfg).map_err(persist_err)?;
     let mut server = Server::with_shared(cfg, shared.clone());
-    let cold_lines = traffic.render_pass(0);
-    let mut cold_out = String::new();
-    for batch in cold_lines.chunks(cvliw_serve::MAX_BATCH) {
-        server.process_batch(batch, &mut cold_out);
-    }
+    let (cold_out, _) = timed_pass(&mut server, &traffic.render_pass(0));
     if let Some(outcome) = shared.snapshot_now() {
         outcome.map_err(persist_err)?;
     }
@@ -268,13 +261,8 @@ pub fn serve_restart_replay(
     // Second life: recover the directory, serve the same traffic warm.
     let (shared, load) = SharedState::with_persistence(&cfg, &pcfg).map_err(persist_err)?;
     let mut server = Server::with_shared(cfg, shared.clone());
-    let warm_lines = traffic.render_pass(requests as u64);
-    let mut warm_out = String::new();
-    let started = Instant::now();
-    for batch in warm_lines.chunks(cvliw_serve::MAX_BATCH) {
-        server.process_batch(batch, &mut warm_out);
-    }
-    let restart_wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let (warm_out, restart_wall_ms) =
+        timed_pass(&mut server, &traffic.render_pass(requests as u64));
     let stats = server.stats();
     drop(server);
     drop(shared);

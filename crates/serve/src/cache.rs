@@ -13,10 +13,24 @@
 //! seq, stamps are unique, and the victim is the unique minimum-stamp
 //! entry. The whole replacement policy is therefore a deterministic
 //! function of the request stream, independent of worker count and
-//! scheduling — a property the differential test layer leans on.
+//! scheduling — a property the differential test layer leans on. The
+//! server's raw-text memo and per-worker context pools evict the same
+//! way, through the one `evict_lru` scan.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
+
+/// Removes and returns the minimum-stamp entry of `map`, or `None` when
+/// it is empty. Stamps are unique request seq numbers, so the victim is
+/// unique and a deterministic function of the request stream.
+pub(crate) fn evict_lru<K: Copy + Eq + Hash, V>(
+    map: &mut HashMap<K, V>,
+    stamp: impl Fn(&V) -> u64,
+) -> Option<V> {
+    let victim = *map.iter().min_by_key(|(_, v)| stamp(v))?.0;
+    map.remove(&victim)
+}
 
 /// The canonical identity of a compile request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -104,25 +118,14 @@ impl ResultCache {
         while self.entries.len() > self.max_entries
             || (self.bytes > self.max_bytes && self.entries.len() > 1)
         {
-            // Stamps are unique request seq numbers, so the minimum is
-            // unique and the victim deterministic. The loop condition
-            // guarantees a non-empty map; if it were ever empty anyway,
-            // stopping is strictly safer than panicking mid-request.
-            let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            else {
+            // The loop condition guarantees a non-empty map; if it were
+            // ever empty anyway, stopping is strictly safer than
+            // panicking mid-request.
+            let Some(gone) = evict_lru(&mut self.entries, |e| e.stamp) else {
                 break;
             };
-            if victim == key && self.entries.len() == 1 {
-                break;
-            }
-            if let Some(gone) = self.entries.remove(&victim) {
-                self.bytes -= gone.payload.len();
-                evicted += 1;
-            }
+            self.bytes -= gone.payload.len();
+            evicted += 1;
         }
         self.evictions += evicted;
         evicted

@@ -92,9 +92,12 @@ impl Drop for SocketGuard {
     }
 }
 
-/// Runs the daemon on a Unix socket until `shutdown` is requested,
-/// then drains every live session and removes the socket file. Returns
-/// the daemon-wide counters at shutdown.
+/// Runs the daemon on a Unix socket over `shared` until `shutdown` is
+/// requested, then drains every live session and removes the socket
+/// file. Returns the daemon-wide counters at shutdown. The caller builds
+/// the shared state — [`SharedState::new`], or a persistence-backed
+/// cache recovered via [`SharedState::with_persistence`] that it
+/// snapshots after this returns.
 ///
 /// # Errors
 ///
@@ -102,23 +105,6 @@ impl Drop for SocketGuard {
 /// serves the path; propagates bind and accept failures. Per-session
 /// I/O errors end that session only, never the daemon.
 pub fn run_socket(
-    cfg: ServerConfig,
-    sock: &SocketConfig,
-    shutdown: &ShutdownFlag,
-) -> io::Result<ServeStats> {
-    run_socket_with(cfg, sock, shutdown, SharedState::new(&cfg))
-}
-
-/// [`run_socket`] over caller-built shared state — the entry point when
-/// the state carries something a bare [`ServerConfig`] cannot describe,
-/// such as a persistence-backed cache recovered via
-/// [`SharedState::with_persistence`] (the CLI snapshots it after this
-/// returns).
-///
-/// # Errors
-///
-/// As [`run_socket`].
-pub fn run_socket_with(
     cfg: ServerConfig,
     sock: &SocketConfig,
     shutdown: &ShutdownFlag,
@@ -211,7 +197,7 @@ fn run_session(
     let reader = BufReader::new(stream.try_clone()?);
     let writer = BufWriter::new(stream);
     let mut server = Server::with_shared(cfg, shared);
-    server.run_jsonl_until(reader, writer, shutdown)
+    server.run_jsonl(reader, writer, shutdown)
 }
 
 #[cfg(test)]
@@ -225,6 +211,16 @@ mod tests {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("cvliw-{}-{tag}-{n}.sock", std::process::id()))
+    }
+
+    /// A default-config daemon on its own thread and its own state.
+    fn spawn_daemon(
+        sock: &SocketConfig,
+        shutdown: &ShutdownFlag,
+    ) -> thread::JoinHandle<io::Result<ServeStats>> {
+        let (sock, shutdown) = (sock.clone(), shutdown.clone());
+        let cfg = ServerConfig::default();
+        thread::spawn(move || run_socket(cfg, &sock, &shutdown, SharedState::new(&cfg)))
     }
 
     #[test]
@@ -250,11 +246,7 @@ mod tests {
             sessions: 4,
         };
         let shutdown = ShutdownFlag::new();
-        let daemon = {
-            let sock = sock.clone();
-            let shutdown = shutdown.clone();
-            thread::spawn(move || run_socket(ServerConfig::default(), &sock, &shutdown))
-        };
+        let daemon = spawn_daemon(&sock, &shutdown);
 
         // Wait for the socket to come up.
         let mut tries = 0;
@@ -265,7 +257,8 @@ mod tests {
         }
 
         // A second daemon on the same path must refuse, not clobber.
-        let rival = run_socket(ServerConfig::default(), &sock, &ShutdownFlag::new());
+        let cfg = ServerConfig::default();
+        let rival = run_socket(cfg, &sock, &ShutdownFlag::new(), SharedState::new(&cfg));
         assert_eq!(rival.unwrap_err().kind(), io::ErrorKind::AddrInUse);
         assert!(
             path.exists(),
@@ -307,11 +300,7 @@ mod tests {
             sessions: 1,
         };
         let shutdown = ShutdownFlag::new();
-        let daemon = {
-            let sock = sock.clone();
-            let shutdown = shutdown.clone();
-            thread::spawn(move || run_socket(ServerConfig::default(), &sock, &shutdown))
-        };
+        let daemon = spawn_daemon(&sock, &shutdown);
         let mut tries = 0;
         while probe_socket(&path).unwrap() != SocketProbe::Live {
             tries += 1;
@@ -331,11 +320,7 @@ mod tests {
             sessions: 2,
         };
         let shutdown = ShutdownFlag::new();
-        let daemon = {
-            let sock = sock.clone();
-            let shutdown = shutdown.clone();
-            thread::spawn(move || run_socket(ServerConfig::default(), &sock, &shutdown))
-        };
+        let daemon = spawn_daemon(&sock, &shutdown);
         let mut tries = 0;
         while probe_socket(&path).unwrap() != SocketProbe::Live {
             tries += 1;

@@ -16,7 +16,8 @@
 //!   load.
 //! * **Allocation-free warm path** — a batch answered entirely from cache
 //!   touches no allocator: borrowed-slice JSON scanning, an interned spec
-//!   table, a raw-text fingerprint memo and `Arc` payload clones.
+//!   table handing out `Arc` configs, a raw-text fingerprint memo and
+//!   `Arc` payload clones.
 //!
 //! On top of those, the serve layer is built to stay up: a panicking
 //! compile is contained to its job (`compile_panic`), a compile that
@@ -28,9 +29,11 @@
 //!
 //! The module split mirrors the request's journey: [`json`] scans the
 //! line, [`protocol`] types it, [`cache`] answers repeats, [`shared`]
-//! holds what sessions share, [`server`] runs the pool, [`daemon`]
-//! owns the Unix socket, [`persist`] makes the cache survive restarts,
-//! and [`client`] is the reconnecting caller's side of the socket.
+//! holds the one copy of what sessions share (the cache behind a single
+//! lock, since each session thread is its only client), [`server`] runs
+//! the pool, [`daemon`] owns the Unix socket, [`persist`] makes the
+//! cache survive restarts, and [`client`] is the reconnecting caller's
+//! side of the socket.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,7 +60,7 @@ pub use cache::{CacheKey, ResultCache};
 #[cfg(unix)]
 pub use client::{BackoffPolicy, Client};
 #[cfg(unix)]
-pub use daemon::{probe_socket, run_socket, run_socket_with, SocketConfig, SocketProbe};
+pub use daemon::{probe_socket, run_socket, SocketConfig, SocketProbe};
 #[cfg(feature = "fault-inject")]
 pub use fault::FaultPlan;
 #[cfg(feature = "fault-inject")]

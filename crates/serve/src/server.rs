@@ -42,9 +42,10 @@
 //!
 //! Cross-session state — the result cache, the spec interner, the seq
 //! counter, the counters and the shed gate — lives in [`SharedState`];
-//! a `Server` is one *session* over it. A single-session daemon behaves
-//! bit-for-bit like the old single-owner design, which is what lets the
-//! differential layer keep pinning byte identity.
+//! a `Server` is one *session* over it. The session thread is the
+//! cache's only client (admission looks up, phase 3 inserts), and a miss
+//! carries its interned `Arc<MachineConfig>` to the worker, so the
+//! session keeps no second copy of any shared table.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -63,7 +64,7 @@ use cvliw_replicate::{
     Mode,
 };
 
-use crate::cache::CacheKey;
+use crate::cache::{evict_lru, CacheKey};
 #[cfg(feature = "fault-inject")]
 use crate::fault::FaultPlan;
 use crate::json;
@@ -72,6 +73,12 @@ use crate::shared::SharedState;
 
 /// Upper bound on lines drained into one batch by [`Server::run_jsonl`].
 pub const MAX_BATCH: usize = 64;
+
+/// Live [`CompileContext`]s each worker retains (LRU beyond that).
+const CONTEXTS_PER_WORKER: usize = 64;
+
+/// Raw-text memo entries (escaped loop source → fingerprint) per session.
+const MEMO_ENTRIES: usize = 1024;
 
 /// Floor of the shed back-off hint, in milliseconds.
 pub const RETRY_AFTER_BASE_MS: u64 = 10;
@@ -103,10 +110,6 @@ pub struct ServerConfig {
     pub cache_entries: usize,
     /// Result-cache payload-byte bound.
     pub cache_bytes: usize,
-    /// Live [`CompileContext`]s each worker retains (LRU beyond that).
-    pub contexts_per_worker: usize,
-    /// Raw-text memo entries (escaped loop source → fingerprint).
-    pub memo_entries: usize,
     /// Per-request compile budget in milliseconds; `None` disarms the
     /// deadline entirely (no token is ever armed).
     pub deadline_ms: Option<u64>,
@@ -121,8 +124,6 @@ impl Default for ServerConfig {
             jobs: 1,
             cache_entries: 1024,
             cache_bytes: 64 << 20,
-            contexts_per_worker: 64,
-            memo_entries: 1024,
             deadline_ms: None,
             max_inflight: 256,
         }
@@ -178,7 +179,7 @@ impl fmt::Display for ServeStats {
 }
 
 /// A clonable, thread-safe shutdown request. Hand one to
-/// [`Server::run_jsonl_until`] (or the socket daemon) and
+/// [`Server::run_jsonl`] (or the socket daemon) and
 /// [`ShutdownFlag::request`] it from a signal handler watcher or another
 /// thread: readers stop at the next line boundary, every admitted
 /// request is still answered and flushed, and the stream ends with no
@@ -254,6 +255,7 @@ impl JobOutcome {
 
 struct Job {
     key: CacheKey,
+    machine: Arc<MachineConfig>,
     mode: Mode,
     ddg: Option<Ddg>,
     stamp: u64,
@@ -274,15 +276,12 @@ enum Slot {
     Stats { id: u64 },
 }
 
-/// Everything a worker thread needs besides its own state: the session's
-/// spec mirror, pool sizing, the deadline and (under `fault-inject`) the
-/// fault plan.
-struct WorkerEnv<'a> {
-    machines: &'a HashMap<u32, MachineConfig>,
-    max_ctxs: usize,
+/// Everything a worker thread needs besides its own state and jobs: the
+/// deadline and (under `fault-inject`) the fault plan.
+struct WorkerEnv {
     deadline_ms: Option<u64>,
     #[cfg(feature = "fault-inject")]
-    fault: &'a FaultPlan,
+    fault: FaultPlan,
 }
 
 /// One session of the compile daemon. Feed it batches of JSONL request
@@ -291,21 +290,14 @@ struct WorkerEnv<'a> {
 /// cache, the spec interner, counters — in the [`SharedState`] all
 /// sessions of one daemon share.
 pub struct Server {
-    cfg: ServerConfig,
     shared: Arc<SharedState>,
-    /// Session-local mirror of the shared spec table (id → config),
-    /// lock-free on the warm path.
-    machines: HashMap<u32, MachineConfig>,
-    /// Session-local mirror: escaped spec text → shared id.
-    spec_ids: HashMap<Box<str>, u32>,
+    env: WorkerEnv,
     text_memo: HashMap<u64, TextEntry>,
     workers: Vec<WorkerState>,
     worker_jobs: Vec<Vec<Job>>,
     pending: HashMap<CacheKey, (u32, u32)>,
     slots: Vec<Slot>,
     body_buf: String,
-    #[cfg(feature = "fault-inject")]
-    fault: FaultPlan,
 }
 
 impl Server {
@@ -324,18 +316,18 @@ impl Server {
     pub fn with_shared(cfg: ServerConfig, shared: Arc<SharedState>) -> Self {
         let jobs = cfg.jobs.max(1);
         Server {
-            cfg: ServerConfig { jobs, ..cfg },
             shared,
-            machines: HashMap::new(),
-            spec_ids: HashMap::new(),
+            env: WorkerEnv {
+                deadline_ms: cfg.deadline_ms,
+                #[cfg(feature = "fault-inject")]
+                fault: FaultPlan::default(),
+            },
             text_memo: HashMap::new(),
             workers: (0..jobs).map(|_| WorkerState::default()).collect(),
             worker_jobs: (0..jobs).map(|_| Vec::new()).collect(),
             pending: HashMap::new(),
             slots: Vec::new(),
             body_buf: String::new(),
-            #[cfg(feature = "fault-inject")]
-            fault: FaultPlan::default(),
         }
     }
 
@@ -349,7 +341,7 @@ impl Server {
     /// (test builds only).
     #[cfg(feature = "fault-inject")]
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = plan;
+        self.env.fault = plan;
     }
 
     /// Lifetime counters (daemon-wide when sessions share state).
@@ -362,16 +354,6 @@ impl Server {
     #[must_use]
     pub fn summary(&self) -> String {
         self.stats().to_string()
-    }
-
-    fn intern_spec(&mut self, escaped: &str) -> Result<u32, ErrorKind> {
-        if let Some(&id) = self.spec_ids.get(escaped) {
-            return Ok(id);
-        }
-        let (id, machine) = self.shared.intern_spec(escaped)?;
-        self.spec_ids.insert(Box::from(escaped), id);
-        self.machines.insert(id, machine);
-        Ok(id)
     }
 
     /// Fingerprints the escaped loop source, via the raw-text memo when it
@@ -397,15 +379,8 @@ impl Server {
         })?;
         let named = parse_loop(&text).map_err(ErrorKind::Parse)?;
         let fp = loop_fingerprint(&named.ddg);
-        if self.text_memo.len() >= self.cfg.memo_entries.max(1) {
-            if let Some(&victim) = self
-                .text_memo
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k)
-            {
-                self.text_memo.remove(&victim);
-            }
+        if self.text_memo.len() >= MEMO_ENTRIES {
+            evict_lru(&mut self.text_memo, |e| e.stamp);
         }
         self.text_memo.insert(
             h,
@@ -427,8 +402,8 @@ impl Server {
         seeds: u32,
         stamp: u64,
     ) -> Slot {
-        let spec = match self.intern_spec(machine) {
-            Ok(spec) => spec,
+        let (spec, machine) = match self.shared.intern_spec(machine) {
+            Ok(pair) => pair,
             Err(kind) => return Slot::Reject { id: Some(id), kind },
         };
         let (fp, parsed) = match self.fingerprint_loop(loop_src, stamp) {
@@ -491,7 +466,7 @@ impl Server {
             };
         }
         self.shared.stats().misses(1);
-        let worker = (fnv1a_64(&key.bytes()) % self.cfg.jobs as u64) as u32;
+        let worker = (fnv1a_64(&key.bytes()) % self.workers.len() as u64) as u32;
         let idx = match u32::try_from(self.worker_jobs[worker as usize].len()) {
             Ok(idx) => idx,
             Err(_) => {
@@ -506,6 +481,7 @@ impl Server {
         };
         self.worker_jobs[worker as usize].push(Job {
             key,
+            machine,
             mode,
             ddg,
             stamp,
@@ -563,14 +539,7 @@ impl Server {
         // Phase 2: compile fan-out. Skipped entirely on an all-hit batch —
         // even spawning a scope would allocate.
         if self.worker_jobs.iter().any(|jobs| !jobs.is_empty()) {
-            let env = WorkerEnv {
-                machines: &self.machines,
-                max_ctxs: self.cfg.contexts_per_worker.max(1),
-                deadline_ms: self.cfg.deadline_ms,
-                #[cfg(feature = "fault-inject")]
-                fault: &self.fault,
-            };
-            let env = &env;
+            let env = &self.env;
             thread::scope(|scope| {
                 for (ws, jobs) in self.workers.iter_mut().zip(self.worker_jobs.iter_mut()) {
                     if jobs.is_empty() {
@@ -684,29 +653,18 @@ impl Server {
     /// line without a trailing newline is still a request — a truncated
     /// one gets a structured error response like any other malformed line.
     ///
-    /// # Errors
-    ///
-    /// Propagates `writer` failures; `reader` errors end the stream.
-    pub fn run_jsonl<R, W>(&mut self, reader: R, writer: W) -> io::Result<()>
-    where
-        R: BufRead + Send,
-        W: Write,
-    {
-        self.run_jsonl_until(reader, writer, &ShutdownFlag::new())
-    }
-
-    /// [`Server::run_jsonl`] with cooperative shutdown: when `shutdown`
-    /// is requested, the reader stops at the next line boundary (or read
-    /// timeout), every line already read is processed and answered, the
-    /// writer is flushed, and the pump returns `Ok`. The reader side
-    /// tolerates `WouldBlock`/`TimedOut` (a socket with a read timeout)
-    /// by retrying, retaining any partial line across retries — that
-    /// polling is what lets a blocking socket session observe the flag.
+    /// Shutdown is cooperative: when `shutdown` is requested, the reader
+    /// stops at the next line boundary (or read timeout), every line
+    /// already read is processed and answered, the writer is flushed, and
+    /// the pump returns `Ok`. The reader side tolerates
+    /// `WouldBlock`/`TimedOut` (a socket with a read timeout) by retrying,
+    /// retaining any partial line across retries — that polling is what
+    /// lets a blocking socket session observe the flag.
     ///
     /// # Errors
     ///
     /// Propagates `writer` failures; `reader` errors end the stream.
-    pub fn run_jsonl_until<R, W>(
+    pub fn run_jsonl<R, W>(
         &mut self,
         reader: R,
         mut writer: W,
@@ -750,7 +708,7 @@ impl Server {
     }
 }
 
-/// The reader half of [`Server::run_jsonl_until`]: assembles lines from
+/// The reader half of [`Server::run_jsonl`]: assembles lines from
 /// `reader` and sends them to the pump. Memory-bounded — once a line
 /// passes the protocol cap its tail is discarded (the line is already
 /// doomed to an `oversized` rejection, reported at the cap) — and
@@ -822,7 +780,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-fn run_worker(ws: &mut WorkerState, jobs: &mut [Job], env: &WorkerEnv<'_>) {
+fn run_worker(ws: &mut WorkerState, jobs: &mut [Job], env: &WorkerEnv) {
     let mut body = String::new();
     for job in jobs {
         body.clear();
@@ -852,7 +810,7 @@ fn run_worker(ws: &mut WorkerState, jobs: &mut [Job], env: &WorkerEnv<'_>) {
 fn compile_one(
     ws: &mut WorkerState,
     job: &mut Job,
-    env: &WorkerEnv<'_>,
+    env: &WorkerEnv,
     body: &mut String,
 ) -> JobOutcome {
     #[cfg(feature = "fault-inject")]
@@ -860,21 +818,9 @@ fn compile_one(
         panic!("injected fault: worker panic at request {}", job.stamp);
     }
     let ctx_key = (job.key.fp, job.key.spec, job.key.seeds);
-    let Some(machine) = env.machines.get(&job.key.spec) else {
-        protocol::render_error_body(
-            &ErrorKind::Internal {
-                detail: "no machine for interned spec id",
-            },
-            body,
-        );
-        return JobOutcome::Internal;
-    };
     if !ws.ctxs.contains_key(&ctx_key) {
-        while ws.ctxs.len() >= env.max_ctxs {
-            let Some(victim) = ws.ctxs.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| *k) else {
-                break;
-            };
-            ws.ctxs.remove(&victim);
+        if ws.ctxs.len() >= CONTEXTS_PER_WORKER {
+            evict_lru(&mut ws.ctxs, |e| e.stamp);
         }
         let Some(ddg) = job.ddg.take() else {
             protocol::render_error_body(
@@ -885,7 +831,7 @@ fn compile_one(
             );
             return JobOutcome::Internal;
         };
-        let ctx = CompileContext::new(&ddg, machine).with_refine_seeds(job.key.seeds);
+        let ctx = CompileContext::new(&ddg, &job.machine).with_refine_seeds(job.key.seeds);
         ws.ctxs.insert(
             ctx_key,
             CtxEntry {
@@ -921,7 +867,7 @@ fn compile_one(
     if let Some(stall) = env.fault.stall_at(job.stamp) {
         thread::sleep(stall);
     }
-    let result = compile_loop_ctx(&entry.ddg, machine, &opts, &entry.ctx).map(|c| c.stats);
+    let result = compile_loop_ctx(&entry.ddg, &job.machine, &opts, &entry.ctx).map(|c| c.stats);
     if let Some(token) = token {
         token.disarm_deadline();
     }
@@ -1059,7 +1005,8 @@ mod tests {
             "{\"id\": 3, \"loo"
         );
         let mut out = Vec::new();
-        s.run_jsonl(io::Cursor::new(input), &mut out).unwrap();
+        s.run_jsonl(io::Cursor::new(input), &mut out, &ShutdownFlag::new())
+            .unwrap();
         let out = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2, "{out}");
@@ -1208,7 +1155,7 @@ mod tests {
         shutdown.request();
         let input = request_line(1, TINY_LOOP, "4c1b2l64r", "replicate", 1);
         let mut out = Vec::new();
-        s.run_jsonl_until(io::Cursor::new(input), &mut out, &shutdown)
+        s.run_jsonl(io::Cursor::new(input), &mut out, &shutdown)
             .unwrap();
         assert!(out.is_empty(), "pre-requested shutdown must read nothing");
         assert_eq!(s.stats().requests, 0);
@@ -1224,7 +1171,8 @@ mod tests {
         input.push('\n');
         input.push_str(&request_line(7, TINY_LOOP, "4c1b2l64r", "baseline", 1));
         let mut out = Vec::new();
-        s.run_jsonl(io::Cursor::new(input), &mut out).unwrap();
+        s.run_jsonl(io::Cursor::new(input), &mut out, &ShutdownFlag::new())
+            .unwrap();
         let out = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2, "{out}");

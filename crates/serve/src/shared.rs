@@ -4,25 +4,28 @@
 //! private worker pool, private raw-text memo. Everything whose identity
 //! must be daemon-wide lives here instead, behind an `Arc`:
 //!
-//! * the **result cache**, lock-striped by key hash so concurrent
-//!   sessions rarely contend on the same stripe;
+//! * the **result cache**, behind one mutex. Each session's thread is
+//!   the cache's only client — admission looks up, phase 3 inserts, and
+//!   workers never touch it — so the lock only ever separates concurrent
+//!   socket sessions, for the length of one hash probe. One lock also
+//!   means every cache size evicts in exact global-LRU stamp order;
 //! * the **machine-spec interner** — `CacheKey.spec` is the interned id,
 //!   so two sessions interning independently would alias *different*
-//!   specs to the *same* id and serve wrong cached payloads. Sessions
-//!   keep a lock-free local mirror for the warm path and fall through to
-//!   the shared table only on their first sight of a spec;
+//!   specs to the *same* id and serve wrong cached payloads. The table
+//!   hands out `Arc<MachineConfig>` clones, so a hit costs a lookup and a
+//!   refcount bump, never an allocation;
 //! * the **request sequence counter** — LRU stamps and fault-plan
 //!   indices are global request seq numbers;
 //! * the **counters** (plain atomics) and the **shed gate** bounding
 //!   daemon-wide in-flight compiles.
 //!
-//! With a single session the shared state degenerates to exactly the old
-//! single-owner behavior: stamps are consecutive, the striped LRU is a
-//! deterministic function of the request stream, and every byte of every
-//! response is unchanged — the differential layer pins this.
+//! With a single session the shared state is exactly the single-owner
+//! design: stamps are consecutive, the LRU is a deterministic function
+//! of the request stream, and every byte of every response is unchanged
+//! — the differential layer pins this.
 //!
 //! Poisoned locks are impossible by construction (no panic can happen
-//! while a stripe or the spec table is held: workers never touch them,
+//! while the cache or the spec table is held: workers never touch them,
 //! and admission is panic-free), but every `lock()` still recovers via
 //! [`PoisonError::into_inner`] rather than unwrapping — a daemon must
 //! not die on a theory.
@@ -34,26 +37,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cvliw_machine::MachineConfig;
-use cvliw_replicate::{fnv1a_64, Mode};
+use cvliw_replicate::Mode;
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::json;
 use crate::persist::{LoadReport, PersistRecord, Persister, RecordRef, DEFAULT_SNAPSHOT_EVERY};
 use crate::protocol::ErrorKind;
 use crate::server::{ServeStats, ServerConfig};
-
-/// Result-cache stripes. A power of two keeps the modulo cheap; eight is
-/// plenty for the session counts a Unix-socket daemon realistically runs.
-/// Entry/byte bounds are divided per stripe, so the configured totals
-/// hold globally (hash skew can make one stripe evict a little early —
-/// capacity is a bound, not a promise of perfect utilization).
-pub(crate) const CACHE_STRIPES: usize = 8;
-
-/// Caches bounded below this many entries stay single-striped: striping
-/// is a contention optimization for big caches, and a single stripe
-/// preserves the exact global-LRU eviction order that tightly bounded
-/// (mostly test) configurations observe.
-const STRIPE_THRESHOLD: usize = 64;
 
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -106,14 +96,14 @@ impl SharedStats {
 }
 
 /// The daemon-wide machine-spec interner: escaped spec text → small id,
-/// plus the parsed config and the original text per id. The text is kept
-/// because interned ids are session-local: persistence must write the
-/// spec *text* so a restarted daemon re-interns instead of trusting a
-/// stale id.
+/// plus the shared parsed config and the original text per id. The text
+/// is kept because interned ids are process-local: persistence must
+/// write the spec *text* so a restarted daemon re-interns instead of
+/// trusting a stale id.
 #[derive(Debug, Default)]
 struct SpecTable {
     ids: HashMap<Box<str>, u32>,
-    machines: Vec<MachineConfig>,
+    machines: Vec<Arc<MachineConfig>>,
     texts: Vec<Arc<str>>,
 }
 
@@ -179,15 +169,16 @@ impl PersistConfig {
 /// Everything one daemon's sessions share. Construct once, hand an
 /// `Arc` clone to each [`crate::server::Server`] session.
 ///
-/// Lock ordering: the persister's lock is acquired only while **no**
-/// stripe lock is held (inserts journal after releasing their stripe;
-/// snapshots take stripe locks one at a time under the persist lock).
-/// The spec-table lock nests inside either but never wraps them.
+/// Lock ordering: the persister's lock is acquired only while the cache
+/// lock is **not** held (inserts journal after releasing the cache;
+/// snapshots take the cache lock briefly under the persist lock). The
+/// spec-table lock nests inside the persist lock but never wraps a lock,
+/// and the cache and spec-table locks are never held together.
 #[derive(Debug)]
 pub struct SharedState {
-    /// Empty when the cache is explicitly disabled (`--cache-entries 0`
+    /// `None` when the cache is explicitly disabled (`--cache-entries 0`
     /// or `--cache-mb 0`): every lookup misses, every insert is dropped.
-    stripes: Vec<Mutex<ResultCache>>,
+    cache: Option<Mutex<ResultCache>>,
     specs: Mutex<SpecTable>,
     seq: AtomicU64,
     stats: SharedStats,
@@ -197,19 +188,10 @@ pub struct SharedState {
 
 impl SharedState {
     fn build(cfg: &ServerConfig) -> SharedState {
-        let stripes = if cfg.cache_entries == 0 || cfg.cache_bytes == 0 {
-            0
-        } else if cfg.cache_entries >= STRIPE_THRESHOLD {
-            CACHE_STRIPES
-        } else {
-            1
-        };
-        let per_entries = (cfg.cache_entries / stripes.max(1)).max(1);
-        let per_bytes = (cfg.cache_bytes / stripes.max(1)).max(1);
+        let enabled = cfg.cache_entries > 0 && cfg.cache_bytes > 0;
         SharedState {
-            stripes: (0..stripes)
-                .map(|_| Mutex::new(ResultCache::new(per_entries, per_bytes)))
-                .collect(),
+            cache: enabled
+                .then(|| Mutex::new(ResultCache::new(cfg.cache_entries, cfg.cache_bytes))),
             specs: Mutex::new(SpecTable::default()),
             seq: AtomicU64::new(0),
             stats: SharedStats::default(),
@@ -283,9 +265,9 @@ impl SharedState {
                 mode: rec.mode,
                 seeds: rec.seeds,
             };
-            // Direct stripe insert: replay must not re-journal.
-            if let Some(mut stripe) = state.stripe(&key) {
-                stripe.insert(key, Arc::from(&*rec.payload), rec.stamp);
+            // Direct cache insert: replay must not re-journal.
+            if let Some(mut cache) = state.cache() {
+                cache.insert(key, Arc::from(&*rec.payload), rec.stamp);
             }
             max_stamp = Some(max_stamp.map_or(rec.stamp, |m| m.max(rec.stamp)));
         }
@@ -330,35 +312,25 @@ impl SharedState {
         self.gate.depth()
     }
 
-    /// Whether the cache is enabled at all.
-    #[must_use]
-    pub fn cache_enabled(&self) -> bool {
-        !self.stripes.is_empty()
+    fn cache(&self) -> Option<MutexGuard<'_, ResultCache>> {
+        self.cache.as_ref().map(relock)
     }
 
-    fn stripe(&self, key: &CacheKey) -> Option<MutexGuard<'_, ResultCache>> {
-        if self.stripes.is_empty() {
-            return None;
-        }
-        let i = (fnv1a_64(&key.bytes()) as usize) % self.stripes.len();
-        Some(relock(&self.stripes[i]))
-    }
-
-    /// Looks `key` up in its stripe, refreshing the LRU stamp on a hit.
+    /// Looks `key` up, refreshing its LRU stamp on a hit.
     pub(crate) fn cache_lookup(&self, key: &CacheKey, stamp: u64) -> Option<Arc<str>> {
-        self.stripe(key)?.lookup(key, stamp)
+        self.cache()?.lookup(key, stamp)
     }
 
-    /// Inserts into `key`'s stripe; returns how many entries it evicted.
-    /// With persistence armed the insert is also journaled — after the
-    /// stripe lock is released, so the disk write never extends stripe
-    /// hold time — and a due snapshot cadence triggers compaction.
+    /// Inserts into the cache; returns how many entries it evicted. With
+    /// persistence armed the insert is also journaled — after the cache
+    /// lock is released, so the disk write never extends its hold time —
+    /// and a due snapshot cadence triggers compaction.
     pub(crate) fn cache_insert(&self, key: CacheKey, payload: Arc<str>, stamp: u64) -> u64 {
-        let Some(mut stripe) = self.stripe(&key) else {
+        let Some(mut cache) = self.cache() else {
             return 0;
         };
-        let evicted = stripe.insert(key, Arc::clone(&payload), stamp);
-        drop(stripe);
+        let evicted = cache.insert(key, Arc::clone(&payload), stamp);
+        drop(cache);
         if let Some(persist) = &self.persist {
             let Some(spec) = self.spec_text(key.spec) else {
                 return evicted; // unreachable: inserts intern first
@@ -374,8 +346,8 @@ impl SharedState {
             if due {
                 // Compaction keeps the persist lock for its duration so
                 // concurrent inserts serialize behind it rather than
-                // re-triggering; stripe locks are taken one at a time
-                // underneath it (never the reverse order).
+                // re-triggering; the cache lock is taken underneath it
+                // (never the reverse order).
                 let _ = self.snapshot_now();
             }
         }
@@ -388,10 +360,7 @@ impl SharedState {
     pub fn snapshot_now(&self) -> Option<io::Result<usize>> {
         let persist = self.persist.as_ref()?;
         let mut persister = relock(persist);
-        let mut entries = Vec::new();
-        for stripe in &self.stripes {
-            entries.extend(relock(stripe).export());
-        }
+        let mut entries = self.cache().map_or_else(Vec::new, |cache| cache.export());
         entries.sort_by_key(|&(_, stamp, _)| stamp);
         let mut records = Vec::with_capacity(entries.len());
         for (key, stamp, payload) in entries {
@@ -426,26 +395,28 @@ impl SharedState {
         }
     }
 
-    /// Entries resident across all stripes.
+    /// Entries resident in the cache.
     #[must_use]
     pub fn cache_len(&self) -> usize {
-        self.stripes.iter().map(|s| relock(s).len()).sum()
+        self.cache().map_or(0, |cache| cache.len())
     }
 
-    /// Payload bytes resident across all stripes.
+    /// Payload bytes resident in the cache.
     #[must_use]
     pub fn cache_bytes(&self) -> usize {
-        self.stripes.iter().map(|s| relock(s).bytes()).sum()
+        self.cache().map_or(0, |cache| cache.bytes())
     }
 
     /// Interns an escaped machine-spec string daemon-wide, parsing it on
-    /// first sight. Returns the id and (for first sight per session) the
-    /// parsed config so the session can mirror both locally.
-    pub(crate) fn intern_spec(&self, escaped: &str) -> Result<(u32, MachineConfig), ErrorKind> {
+    /// first sight. Returns the id and the shared parsed config; on a
+    /// repeat both are a lookup and a refcount bump, never an allocation.
+    pub(crate) fn intern_spec(
+        &self,
+        escaped: &str,
+    ) -> Result<(u32, Arc<MachineConfig>), ErrorKind> {
         let mut table = relock(&self.specs);
         if let Some(&id) = table.ids.get(escaped) {
-            let machine = table.machines[id as usize].clone();
-            return Ok((id, machine));
+            return Ok((id, Arc::clone(&table.machines[id as usize])));
         }
         let text = json::unescape(escaped).map_err(|e| ErrorKind::BadField {
             field: "machine",
@@ -455,7 +426,8 @@ impl SharedState {
         let id = u32::try_from(table.machines.len()).map_err(|_| ErrorKind::Internal {
             detail: "machine-spec intern table overflow",
         })?;
-        table.machines.push(machine.clone());
+        let machine = Arc::new(machine);
+        table.machines.push(Arc::clone(&machine));
         table.texts.push(Arc::from(escaped));
         table.ids.insert(Box::from(escaped), id);
         Ok((id, machine))
@@ -464,5 +436,47 @@ impl SharedState {
     /// The escaped spec text behind an interned id (a refcount bump).
     pub(crate) fn spec_text(&self, id: u32) -> Option<Arc<str>> {
         relock(&self.specs).texts.get(id as usize).cloned()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(fp: u64) -> CacheKey {
+        CacheKey {
+            fp,
+            spec: 0,
+            mode: 2,
+            seeds: 1,
+        }
+    }
+
+    #[test]
+    fn a_full_cache_evicts_exactly_the_global_lru_entry() {
+        let state = SharedState::new(&ServerConfig {
+            cache_entries: 64,
+            ..ServerConfig::default()
+        });
+        let evicted: u64 = (0..64)
+            .map(|i| state.cache_insert(key(i), Arc::from("payload"), i))
+            .sum();
+        assert_eq!(evicted, 0, "64 keys must fit a 64-entry cache");
+        assert_eq!(state.cache_len(), 64);
+
+        // Refresh key 0, so key 1 holds the minimum stamp.
+        assert!(state.cache_lookup(&key(0), 64).is_some());
+        assert_eq!(state.cache_insert(key(64), Arc::from("payload"), 65), 1);
+        assert_eq!(state.cache_len(), 64);
+        assert!(
+            state.cache_lookup(&key(1), 66).is_none(),
+            "LRU key survived"
+        );
+        for fp in (0..=64).filter(|&fp| fp != 1) {
+            assert!(
+                state.cache_lookup(&key(fp), 67 + fp).is_some(),
+                "lost key {fp}"
+            );
+        }
     }
 }

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use cvliw_serve::testutil::TINY_LOOP;
 use cvliw_serve::{
-    run_socket_with, BackoffPolicy, Client, ServerConfig, SharedState, ShutdownFlag, SocketConfig,
+    run_socket, BackoffPolicy, Client, ServerConfig, SharedState, ShutdownFlag, SocketConfig,
 };
 
 static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -50,7 +50,7 @@ fn spawn_daemon(
             ..ServerConfig::default()
         };
         let sock = SocketConfig { path, sessions: 2 };
-        run_socket_with(cfg, &sock, &shutdown, SharedState::new(&cfg))
+        run_socket(cfg, &sock, &shutdown, SharedState::new(&cfg))
     })
 }
 

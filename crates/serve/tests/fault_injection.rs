@@ -16,6 +16,7 @@ use cvliw_replicate::{compile_loop_ctx, CompileContext, CompileOptions, Mode};
 use cvliw_serve::testutil::request_line;
 use cvliw_serve::{
     render_compile_error_body, render_ok_body, render_response, FaultPlan, Server, ServerConfig,
+    ShutdownFlag,
 };
 use proptest::prelude::*;
 
@@ -181,7 +182,7 @@ proptest! {
         let mut s = Server::new(ServerConfig { jobs: 2, ..ServerConfig::default() });
         s.set_fault_plan(plan);
         let mut out = Vec::new();
-        s.run_jsonl(std::io::Cursor::new(input), &mut out).expect("pump died");
+        s.run_jsonl(std::io::Cursor::new(input), &mut out, &ShutdownFlag::new()).expect("pump died");
         let out = String::from_utf8(out).expect("responses are UTF-8");
         let got: Vec<&str> = out.lines().collect();
 

@@ -8,7 +8,7 @@
 //! next request.
 
 use cvliw_serve::testutil::{escape, request_line, TINY_LOOP};
-use cvliw_serve::{Server, ServerConfig, MAX_LINE_BYTES};
+use cvliw_serve::{Server, ServerConfig, ShutdownFlag, MAX_LINE_BYTES};
 use proptest::prelude::*;
 
 fn server() -> Server {
@@ -140,7 +140,8 @@ fn mid_stream_eof_on_a_partial_line_is_a_structured_error() {
     let mut s = server();
     let input = format!("{}\n{{\"id\": 5, \"loo", valid_line(1));
     let mut out = Vec::new();
-    s.run_jsonl(std::io::Cursor::new(input), &mut out).unwrap();
+    s.run_jsonl(std::io::Cursor::new(input), &mut out, &ShutdownFlag::new())
+        .unwrap();
     let out = String::from_utf8(out).unwrap();
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 2, "{out}");
@@ -173,7 +174,7 @@ proptest! {
         let mut s = server();
         let input = format!("{prefix}\n{}", valid_line(id + 1000));
         let mut out = Vec::new();
-        s.run_jsonl(std::io::Cursor::new(input), &mut out).unwrap();
+        s.run_jsonl(std::io::Cursor::new(input), &mut out, &ShutdownFlag::new()).unwrap();
         let out = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = out.lines().collect();
 

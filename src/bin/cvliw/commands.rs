@@ -853,7 +853,15 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     // (every request recompiles — a measurement and debugging mode).
     let cache_entries = args.get_num::<usize>("cache-entries")?.unwrap_or(1024);
     let cache_mb = args.get_num::<usize>("cache-mb")?.unwrap_or(64);
-    let cache_disabled = cache_entries == 0 || cache_mb == 0;
+    // A byte bound that overflows `usize` would wrap (2^44 MiB → 0 bytes)
+    // and silently disable the cache: reject it like any unparseable value.
+    let cache_bytes = cache_mb
+        .checked_mul(1 << 20)
+        .ok_or_else(|| UsageError::BadValue {
+            option: "cache-mb".to_string(),
+            value: cache_mb.to_string(),
+        })?;
+    let cache_disabled = cache_entries == 0 || cache_bytes == 0;
     let deadline_ms = args.get_positive_num::<u64>("deadline-ms")?;
     let max_inflight = args
         .get_positive_num::<usize>("max-inflight")?
@@ -893,10 +901,9 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let cfg = ServerConfig {
         jobs,
         cache_entries,
-        cache_bytes: cache_mb << 20,
+        cache_bytes,
         deadline_ms,
         max_inflight,
-        ..ServerConfig::default()
     };
     if cache_disabled {
         eprintln!("serve: result cache disabled (every request compiles)");
@@ -931,7 +938,11 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             let stdin = std::io::BufReader::new(std::io::stdin());
             let stdout = std::io::stdout().lock();
             server
-                .run_jsonl(stdin, std::io::BufWriter::new(stdout))
+                .run_jsonl(
+                    stdin,
+                    std::io::BufWriter::new(stdout),
+                    &cvliw::serve::ShutdownFlag::new(),
+                )
                 .map_err(CliError::Serve)?;
             eprintln!("{}", server.summary());
         }
@@ -969,7 +980,7 @@ fn serve_socket(
     sessions: usize,
     shared: &std::sync::Arc<cvliw::serve::SharedState>,
 ) -> Result<cvliw::serve::ServeStats, CliError> {
-    use cvliw::serve::{run_socket_with, ShutdownFlag, SocketConfig};
+    use cvliw::serve::{run_socket, ShutdownFlag, SocketConfig};
 
     let shutdown = ShutdownFlag::new();
     crate::signals::install_shutdown_handler(&shutdown);
@@ -982,7 +993,7 @@ fn serve_socket(
         path: path.into(),
         sessions,
     };
-    run_socket_with(cfg, &sock, &shutdown, std::sync::Arc::clone(shared)).map_err(CliError::Serve)
+    run_socket(cfg, &sock, &shutdown, std::sync::Arc::clone(shared)).map_err(CliError::Serve)
 }
 
 #[cfg(not(unix))]

@@ -589,6 +589,20 @@ fn serve_cache_zero_is_disabled_mode_not_an_error() {
 }
 
 #[test]
+fn serve_cache_mb_overflowing_the_byte_bound_is_a_usage_error() {
+    // 2^44 MiB is 2^64 bytes: a wrapping shift would make it 0 bytes
+    // and silently disable the cache.
+    let out = cvliw(&["serve", "--cache-mb", "17592186044416"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("cannot parse `17592186044416` for --cache-mb"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+}
+
+#[test]
 fn cache_path_with_a_disabled_cache_is_a_usage_error() {
     let dir = std::env::temp_dir().join(format!("cvliw-cli-conflict-{}", std::process::id()));
     let out = cvliw(&[
