@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use cvliw_ir::print_loop;
 use cvliw_serve::testutil::escape;
-use cvliw_serve::{PersistConfig, Server, ServerConfig, SharedState};
+use cvliw_serve::{Server, ServerConfig, SharedState};
 
 use crate::grid::SuiteGrid;
 use crate::runner::{prepare, PreparedSuite, SuiteError};
@@ -205,8 +205,8 @@ pub struct ServeRestartReport {
 }
 
 /// Measures cache persistence end to end: a first daemon "run" compiles
-/// the grid cold and snapshots to a scratch cache directory; its state
-/// is dropped (the restart); a second run recovers the directory and
+/// the grid cold and compacts its log in a scratch cache directory; its
+/// state is dropped (the restart); a second run recovers the directory and
 /// serves the same traffic, which must be answered from the recovered
 /// cache — byte-identical to the cold responses.
 ///
@@ -239,17 +239,10 @@ pub fn serve_restart_replay(
         cache_entries: requests.max(1),
         ..ServerConfig::default()
     };
-    // Journal every insert, compact only at the explicit shutdown
-    // snapshot — the cadence is exercised elsewhere; here the journal
-    // itself must carry the cold pass.
-    let pcfg = PersistConfig {
-        dir: dir.clone(),
-        snapshot_every: u64::MAX,
-    };
     let persist_err = |e: std::io::Error| SuiteError::Persist(e.to_string());
 
-    // First life: cold-compile the grid, snapshot, "crash" (drop).
-    let (shared, _) = SharedState::with_persistence(&cfg, &pcfg).map_err(persist_err)?;
+    // First life: cold-compile the grid, compact, "crash" (drop).
+    let (shared, _) = SharedState::with_persistence(&cfg, &dir).map_err(persist_err)?;
     let mut server = Server::with_shared(cfg, shared.clone());
     let (cold_out, _) = timed_pass(&mut server, &traffic.render_pass(0));
     if let Some(outcome) = shared.snapshot_now() {
@@ -259,7 +252,7 @@ pub fn serve_restart_replay(
     drop(shared);
 
     // Second life: recover the directory, serve the same traffic warm.
-    let (shared, load) = SharedState::with_persistence(&cfg, &pcfg).map_err(persist_err)?;
+    let (shared, load) = SharedState::with_persistence(&cfg, &dir).map_err(persist_err)?;
     let mut server = Server::with_shared(cfg, shared.clone());
     let (warm_out, restart_wall_ms) =
         timed_pass(&mut server, &traffic.render_pass(requests as u64));

@@ -156,7 +156,7 @@ impl ResultCache {
     }
 
     /// Every resident entry with its LRU stamp, in arbitrary order — the
-    /// raw material for a persistence snapshot. Payload clones are
+    /// raw material for a log compaction. Payload clones are
     /// refcount bumps.
     #[must_use]
     pub fn export(&self) -> Vec<(CacheKey, u64, Arc<str>)> {

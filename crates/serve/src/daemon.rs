@@ -96,8 +96,8 @@ impl Drop for SocketGuard {
 /// requested, then drains every live session and removes the socket
 /// file. Returns the daemon-wide counters at shutdown. The caller builds
 /// the shared state — [`SharedState::new`], or a persistence-backed
-/// cache recovered via [`SharedState::with_persistence`] that it
-/// snapshots after this returns.
+/// cache recovered via [`SharedState::with_persistence`] whose log it
+/// compacts after this returns.
 ///
 /// # Errors
 ///

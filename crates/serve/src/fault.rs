@@ -13,7 +13,7 @@
 //!   feeds the daemon — the plan just makes one seed describe the whole
 //!   scenario;
 //! * **disk faults** target the persistence layer: process death at an
-//!   arbitrary byte offset during journal appends or snapshot writes
+//!   arbitrary byte offset during log appends or compactions
 //!   (consumed via [`crate::shared::SharedState::set_disk_faults`]) and
 //!   post-mortem file mutilation — truncation or a bit flip at a seeded
 //!   offset — applied by the harness between "runs" of the daemon.
@@ -42,16 +42,14 @@ pub struct FaultPlan {
     /// lines (harness-side).
     pub disconnect_after: Option<usize>,
     /// The persister dies (as a killed process would — mid-write, no
-    /// cleanup) after this many journal frame bytes.
-    pub journal_kill_after: Option<u64>,
-    /// The persister dies after this many snapshot bytes, leaving the
+    /// cleanup) after this many appended frame bytes.
+    pub append_kill_after: Option<u64>,
+    /// The persister dies after this many compaction bytes, leaving the
     /// half-written `*.tmp` behind.
-    pub snapshot_kill_after: Option<u64>,
-    /// Harness-side: truncate the persisted file to this many bytes
-    /// between runs.
+    pub compact_kill_after: Option<u64>,
+    /// Harness-side: truncate the log to this many bytes between runs.
     pub truncate_file: Option<u64>,
-    /// Harness-side: flip bit `.1` of byte `.0` of the persisted file
-    /// between runs.
+    /// Harness-side: flip bit `.1` of byte `.0` of the log between runs.
     pub flip_bit: Option<(u64, u8)>,
 }
 
@@ -105,15 +103,15 @@ impl FaultPlan {
     /// `0..max_bytes`. The write-time kills convert to
     /// [`crate::persist::DiskFaults`] via [`FaultPlan::disk_faults`];
     /// `truncate_file` / `flip_bit` are applied by the harness to the
-    /// files themselves between runs.
+    /// log itself between runs.
     #[must_use]
     pub fn seeded_disk(seed: u64, max_bytes: u64) -> FaultPlan {
         let mut s = seed;
         let mut plan = FaultPlan::default();
         let span = max_bytes.max(1);
         match splitmix(&mut s) % 4 {
-            0 => plan.journal_kill_after = Some(splitmix(&mut s) % span),
-            1 => plan.snapshot_kill_after = Some(splitmix(&mut s) % span),
+            0 => plan.append_kill_after = Some(splitmix(&mut s) % span),
+            1 => plan.compact_kill_after = Some(splitmix(&mut s) % span),
             2 => plan.truncate_file = Some(splitmix(&mut s) % span),
             _ => {
                 let byte = splitmix(&mut s) % span;
@@ -128,8 +126,8 @@ impl FaultPlan {
     #[must_use]
     pub fn disk_faults(&self) -> crate::persist::DiskFaults {
         crate::persist::DiskFaults {
-            journal_kill_after: self.journal_kill_after,
-            snapshot_kill_after: self.snapshot_kill_after,
+            append_kill_after: self.append_kill_after,
+            compact_kill_after: self.compact_kill_after,
         }
     }
 

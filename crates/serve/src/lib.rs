@@ -32,8 +32,9 @@
 //! holds the one copy of what sessions share (the cache behind a single
 //! lock, since each session thread is its only client), [`server`] runs
 //! the pool, [`daemon`] owns the Unix socket, [`persist`] makes the
-//! cache survive restarts, and [`client`] is the reconnecting caller's
-//! side of the socket.
+//! cache survive restarts through one crash-safe log (appended per
+//! insert, compacted by atomic rewrite), and [`client`] is the
+//! reconnecting caller's side of the socket.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,4 +75,4 @@ pub use server::{
     retry_after_hint, ServeStats, Server, ServerConfig, ShutdownFlag, MAX_BATCH,
     RETRY_AFTER_BASE_MS, RETRY_AFTER_MAX_MS, RETRY_AFTER_PER_INFLIGHT_MS,
 };
-pub use shared::{PersistConfig, SharedState};
+pub use shared::SharedState;

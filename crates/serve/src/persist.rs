@@ -1,37 +1,34 @@
-//! Crash-safe persistence for the result cache: an append-only journal
-//! plus periodic compacted snapshots, in one versioned, checksummed
-//! on-disk format.
+//! Crash-safe persistence for the result cache: one append-only,
+//! versioned, checksummed log, `cache.bin`, compacted by atomic rewrite.
 //!
-//! A cache entry is durable twice over:
+//! * Every cache insert **appends** one framed record, without fsync — a
+//!   torn final record after a crash is expected and recoverable, so the
+//!   hot path never pays a sync.
+//! * [`Persister::compact`] is the only rewriter: it writes the live
+//!   entries to `cache.bin.tmp`, fsyncs, renames over `cache.bin`, syncs
+//!   the directory and reopens the append handle. Before the rename the
+//!   old log is intact; after it the new log holds every live entry, so
+//!   a crash at any point leaves a loadable log. It runs once the appends
+//!   since the last compaction reach the cache's entry bound or their
+//!   frames its byte bound (so the log never holds more than about twice
+//!   what the cache can, in entries and in bytes), at graceful exit, and
+//!   at open when the log was damaged.
 //!
-//! * the **journal** (`journal.bin`) gets one framed record per cache
-//!   insert, appended without fsync — a torn final record after a crash
-//!   is expected and recoverable, so the hot path never pays a sync;
-//! * a **snapshot** (`snapshot.bin`) is a full compacted dump, written
-//!   every `snapshot_every` journal records and at graceful shutdown:
-//!   write to `snapshot.bin.tmp`, fsync, atomically rename over the old
-//!   snapshot, then truncate the journal — an interrupted snapshot
-//!   leaves the previous snapshot + full journal intact.
-//!
-//! A single rewritten file could not give both properties at once: it
-//! would either fsync per insert (journal without compaction) or risk
-//! the entire cache on every rewrite (snapshot without a journal).
-//!
-//! Every record frame is length-prefixed and FNV-1a-checksummed, and
-//! every file starts with a header carrying a magic, a format version
-//! and a hash of the cache-key schema. Loading tolerates every
-//! corruption mode without panicking and without ever surfacing a
-//! record whose checksum does not verify:
+//! Every record frame is length-prefixed and FNV-1a-checksummed, and the
+//! file starts with a header carrying a magic, a format version and a
+//! hash of the cache-key schema. Loading tolerates every corruption mode
+//! without panicking and without ever surfacing a record whose checksum
+//! does not verify:
 //!
 //! | damage                                | recovery                      |
 //! |---------------------------------------|-------------------------------|
-//! | frame extends past EOF (torn tail)    | truncate, keep what precedes  |
+//! | frame extends past EOF (torn tail)    | drop it, compact the survivors|
 //! | checksum/shape mismatch mid-file      | quarantine to `*.corrupt`,    |
-//! |                                       | skip, keep loading            |
+//! |                                       | skip, compact the survivors   |
 //! | implausible record length             | quarantine rest of file, stop |
 //! | bad magic / version / schema hash     | set file aside (`*.refused`), |
 //! |                                       | start cold, structured warning|
-//! | stale `*.tmp` from a killed snapshot  | delete                        |
+//! | stale `*.tmp` from a killed compaction| delete                        |
 //!
 //! [`verify_dir`] runs the same scanner read-only (no truncation, no
 //! quarantine) and reports every issue with its exact byte offset —
@@ -44,16 +41,10 @@ use std::path::{Path, PathBuf};
 use cvliw_replicate::fnv1a_64;
 
 /// Current on-disk format version (bumped on any frame/header change).
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
-/// Snapshot file name inside the cache directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.bin";
-
-/// Journal file name inside the cache directory.
-pub const JOURNAL_FILE: &str = "journal.bin";
-
-/// Default journal records between compacted snapshots.
-pub const DEFAULT_SNAPSHOT_EVERY: u64 = 1024;
+/// The log's file name inside the cache directory.
+pub const LOG_FILE: &str = "cache.bin";
 
 /// Upper bound on one record body. A length field beyond this is
 /// corruption, not a record — skipping by it would be resyncing on
@@ -62,9 +53,9 @@ pub const MAX_RECORD_BYTES: usize = 16 << 20;
 
 const MAGIC: [u8; 8] = *b"CVLWCACH";
 
-/// File-header size: magic (8) + version (2) + kind (1) + reserved (1) +
-/// schema hash (8). Public so tests can aim corruption past the header.
-pub const HEADER_LEN: usize = 8 + 2 + 1 + 1 + 8;
+/// File-header size: magic (8) + version (2) + reserved (2) + schema
+/// hash (8). Public so tests can aim corruption past the header.
+pub const HEADER_LEN: usize = 8 + 2 + 2 + 8;
 const FRAME_HEADER_LEN: usize = 4 + 8;
 
 /// The cache-key/record schema this build writes and reads. Hashed into
@@ -76,31 +67,6 @@ const SCHEMA: &str = "fp:u64le,mode:u8,seeds:u32le,stamp:u64le,spec:len32+utf8,p
 #[must_use]
 pub fn schema_hash() -> u64 {
     fnv1a_64(SCHEMA.as_bytes())
-}
-
-/// Which of the two persisted files a header claims to be.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FileKind {
-    /// A compacted full dump.
-    Snapshot,
-    /// The append-only insert log.
-    Journal,
-}
-
-impl FileKind {
-    fn tag(self) -> u8 {
-        match self {
-            FileKind::Snapshot => 1,
-            FileKind::Journal => 2,
-        }
-    }
-
-    fn file_name(self) -> &'static str {
-        match self {
-            FileKind::Snapshot => SNAPSHOT_FILE,
-            FileKind::Journal => JOURNAL_FILE,
-        }
-    }
 }
 
 /// One persisted cache entry, exactly as framed on disk. The machine
@@ -138,8 +104,8 @@ impl PersistRecord {
     }
 }
 
-/// A borrowed record, used to journal an insert without first copying
-/// the payload into an owned [`PersistRecord`].
+/// A borrowed record, used to append an insert or compact the live
+/// cache without first copying payloads into owned [`PersistRecord`]s.
 #[derive(Clone, Copy, Debug)]
 pub struct RecordRef<'a> {
     /// Structural loop fingerprint.
@@ -156,12 +122,11 @@ pub struct RecordRef<'a> {
     pub payload: &'a str,
 }
 
-fn header_bytes(kind: FileKind) -> [u8; HEADER_LEN] {
+fn header_bytes() -> [u8; HEADER_LEN] {
     let mut out = [0u8; HEADER_LEN];
     out[..8].copy_from_slice(&MAGIC);
     out[8..10].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out[10] = kind.tag();
-    out[11] = 0; // reserved
+    // Bytes 10..12 are reserved (zero).
     out[12..].copy_from_slice(&schema_hash().to_le_bytes());
     out
 }
@@ -264,7 +229,7 @@ pub struct CorruptFrame {
     pub detail: String,
 }
 
-/// Everything a read-only scan of one persisted file found.
+/// Everything a read-only scan of the log found.
 #[derive(Debug, Default)]
 pub struct FileScan {
     /// Header verdict.
@@ -281,7 +246,7 @@ pub struct FileScan {
     pub issues: Vec<ScanIssue>,
 }
 
-fn check_header(data: &[u8], kind: FileKind) -> HeaderStatus {
+fn check_header(data: &[u8]) -> HeaderStatus {
     if data.is_empty() {
         return HeaderStatus::Missing;
     }
@@ -300,13 +265,6 @@ fn check_header(data: &[u8], kind: FileKind) -> HeaderStatus {
             "format version {version} (this build reads {FORMAT_VERSION})"
         ));
     }
-    if data[10] != kind.tag() {
-        return HeaderStatus::Refused(format!(
-            "wrong file kind tag {} (expected {})",
-            data[10],
-            kind.tag()
-        ));
-    }
     let mut hash = [0u8; 8];
     hash.copy_from_slice(&data[12..20]);
     let hash = u64::from_le_bytes(hash);
@@ -319,12 +277,12 @@ fn check_header(data: &[u8], kind: FileKind) -> HeaderStatus {
     HeaderStatus::Ok
 }
 
-/// Scans one file's bytes: header, then frame after frame, classifying
+/// Scans the log's bytes: header, then frame after frame, classifying
 /// every kind of damage without side effects. Never panics.
 #[must_use]
-pub fn scan_bytes(data: &[u8], kind: FileKind) -> FileScan {
+pub fn scan_bytes(data: &[u8]) -> FileScan {
     let mut scan = FileScan {
-        header: check_header(data, kind),
+        header: check_header(data),
         ..FileScan::default()
     };
     if scan.header != HeaderStatus::Ok {
@@ -424,15 +382,15 @@ pub fn scan_bytes(data: &[u8], kind: FileKind) -> FileScan {
     scan
 }
 
-/// Reads and scans one persisted file. A missing file is a clean
+/// Reads and scans the log at `path`. A missing file is a clean
 /// [`HeaderStatus::Missing`] scan, not an error.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors other than "not found".
-pub fn scan_file(path: &Path, kind: FileKind) -> io::Result<FileScan> {
+pub fn scan_file(path: &Path) -> io::Result<FileScan> {
     match fs::read(path) {
-        Ok(data) => Ok(scan_bytes(&data, kind)),
+        Ok(data) => Ok(scan_bytes(&data)),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(FileScan::default()),
         Err(e) => Err(e),
     }
@@ -444,17 +402,16 @@ pub fn scan_file(path: &Path, kind: FileKind) -> io::Result<FileScan> {
 pub struct LoadReport {
     /// Entries restored into the cache.
     pub loaded: usize,
-    /// Good records read from the snapshot.
-    pub snapshot_records: usize,
-    /// Good records read from the journal.
-    pub journal_records: usize,
+    /// Good records read from the log (a key evicted and compiled again
+    /// appears once per insert).
+    pub records: usize,
     /// Frames quarantined to `*.corrupt`.
     pub corrupt_records: usize,
-    /// Whether a torn final record was dropped (either file).
+    /// Whether a torn final record was dropped.
     pub torn_tail: bool,
-    /// Whole-file refusals (wrong version / schema / magic).
-    pub refused: Vec<String>,
-    /// Everything else worth a warning line (stale tmp files removed,
+    /// Why the whole log was refused (wrong version / schema / magic).
+    pub refused: Option<String>,
+    /// Everything else worth a warning line (a stale tmp file removed,
     /// unloadable records skipped, …).
     pub warnings: Vec<String>,
 }
@@ -464,21 +421,20 @@ impl LoadReport {
     #[must_use]
     pub fn summary(&self) -> String {
         format!(
-            "{} entries restored ({} snapshot + {} journal records), \
-             {} quarantined, torn tail: {}, {} refused file(s)",
+            "{} entries restored from {} log records, {} quarantined, torn tail: {}, \
+             refused: {}",
             self.loaded,
-            self.snapshot_records,
-            self.journal_records,
+            self.records,
             self.corrupt_records,
             if self.torn_tail { "yes" } else { "no" },
-            self.refused.len(),
+            if self.refused.is_some() { "yes" } else { "no" },
         )
     }
 }
 
 /// Removes a not-yet-renamed tmp file on drop unless disarmed — the
-/// snapshot-file sibling of the daemon's socket guard, so cooperative
-/// shutdown mid-snapshot never leaves `*.tmp` litter.
+/// log's sibling of the daemon's socket guard, so cooperative shutdown
+/// mid-compaction never leaves `*.tmp` litter.
 #[derive(Debug)]
 pub struct TmpGuard {
     path: PathBuf,
@@ -509,38 +465,54 @@ impl Drop for TmpGuard {
 
 /// Injected disk failures (test builds only): the writer dies — as a
 /// killed process would, mid-write, no cleanup — once it has written
-/// this many bytes to the named file.
+/// this many bytes.
 #[cfg(feature = "fault-inject")]
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DiskFaults {
-    /// Journal bytes (frames only, header excluded) before death.
-    pub journal_kill_after: Option<u64>,
-    /// Snapshot bytes before death. The tmp file is deliberately left
-    /// behind, exactly as `kill -9` would leave it.
-    pub snapshot_kill_after: Option<u64>,
+    /// Appended bytes (frames only, header excluded) before death.
+    pub append_kill_after: Option<u64>,
+    /// Compaction bytes (header included) before death. The tmp file is
+    /// deliberately left behind, exactly as `kill -9` would leave it.
+    pub compact_kill_after: Option<u64>,
 }
 
-/// Owns the journal file and writes snapshots. One per daemon, behind
-/// the shared state's lock; dies quietly (stops persisting, keeps the
-/// reason) on I/O errors instead of taking the daemon with it.
+/// Writes `buf` whole, or just the prefix an armed death budget allows.
+/// `Ok(false)` means the injected death struck mid-buffer.
+#[cfg(feature = "fault-inject")]
+fn write_or_die(f: &mut File, buf: &[u8], kill_after: &mut Option<u64>) -> io::Result<bool> {
+    let Some(budget) = kill_after else {
+        return f.write_all(buf).map(|()| true);
+    };
+    let n = (*budget).min(buf.len() as u64) as usize;
+    f.write_all(&buf[..n])?;
+    *budget -= n as u64;
+    Ok(n == buf.len())
+}
+
+/// Owns the log. One per daemon, behind the shared state's lock; dies
+/// quietly (stops persisting, keeps the reason) on I/O errors instead of
+/// taking the daemon with it.
 #[derive(Debug)]
 pub struct Persister {
     dir: PathBuf,
-    journal: Option<File>,
-    snapshot_every: u64,
-    journal_records: u64,
+    log: Option<File>,
+    compact_every: u64,
+    compact_bytes: u64,
+    appends: u64,
+    appended_bytes: u64,
     dead: Option<String>,
     frame_buf: Vec<u8>,
     #[cfg(feature = "fault-inject")]
     faults: DiskFaults,
 }
 
-fn tmp_path(dir: &Path, kind: FileKind) -> PathBuf {
-    dir.join(format!("{}.tmp", kind.file_name()))
+/// `cache.bin.<suffix>` inside `dir` (tmp, corrupt, refused).
+fn sibling(dir: &Path, suffix: &str) -> PathBuf {
+    dir.join(format!("{LOG_FILE}.{suffix}"))
 }
 
-fn quarantine(dir: &Path, kind: FileKind, frames: &[CorruptFrame]) -> io::Result<PathBuf> {
-    let path = dir.join(format!("{}.corrupt", kind.file_name()));
+fn quarantine(dir: &Path, frames: &[CorruptFrame]) -> io::Result<PathBuf> {
+    let path = sibling(dir, "corrupt");
     let mut f = File::create(&path)?;
     for frame in frames {
         f.write_all(&frame.bytes)?;
@@ -548,148 +520,115 @@ fn quarantine(dir: &Path, kind: FileKind, frames: &[CorruptFrame]) -> io::Result
     Ok(path)
 }
 
-/// Sets a refused file aside as `<name>.refused` so the next start is
-/// clean and the bytes stay available for inspection.
-fn set_aside_refused(dir: &Path, kind: FileKind, report: &mut LoadReport, why: &str) {
-    let from = dir.join(kind.file_name());
-    let to = dir.join(format!("{}.refused", kind.file_name()));
-    let moved = fs::rename(&from, &to).is_ok();
-    report.refused.push(format!(
-        "{}: {why}{}",
-        kind.file_name(),
-        if moved {
-            " (set aside as *.refused, starting cold)"
-        } else {
-            " (could not set aside; starting cold)"
-        }
-    ));
-}
-
 impl Persister {
-    /// Opens (creating if needed) a cache directory: recovers both
-    /// files, applies every repair the corruption table describes, and
-    /// returns the persister ready to append, the recovered records
-    /// (snapshot first, then journal; not yet stamp-sorted) and the
-    /// load report. Recovery itself never fails — only directory
-    /// creation and journal (re)opening can.
+    /// Opens (creating if needed) a cache directory: recovers the log,
+    /// applies every repair the corruption table describes, and returns
+    /// the persister ready to append, the recovered records (file order;
+    /// not yet stamp-sorted) and the load report. The persister compacts
+    /// once `compact_every` appends, or `compact_bytes` bytes of appended
+    /// frames, have accumulated since the last compaction; what the log
+    /// already holds counts towards both. Recovery itself never fails —
+    /// only directory creation, the repair rewrite and opening the log
+    /// can.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation and journal-open failures.
+    /// Propagates directory-creation, repair and log-open failures.
     pub fn open(
         dir: &Path,
-        snapshot_every: u64,
+        compact_every: u64,
+        compact_bytes: u64,
     ) -> io::Result<(Persister, Vec<PersistRecord>, LoadReport)> {
         fs::create_dir_all(dir)?;
         let mut report = LoadReport::default();
 
-        // A `*.tmp` is a snapshot (or journal rewrite) that never reached
-        // its rename: worthless by construction, deleted on sight.
-        for kind in [FileKind::Snapshot, FileKind::Journal] {
-            let tmp = tmp_path(dir, kind);
-            if tmp.exists() {
-                let _ = fs::remove_file(&tmp);
-                report.warnings.push(format!(
-                    "removed stale {}.tmp from an interrupted write",
-                    kind.file_name()
+        // A `*.tmp` is a compaction that never reached its rename:
+        // worthless by construction, deleted on sight.
+        let tmp = sibling(dir, "tmp");
+        if tmp.exists() {
+            let _ = fs::remove_file(&tmp);
+            report.warnings.push(format!(
+                "removed stale {LOG_FILE}.tmp from an interrupted compaction"
+            ));
+        }
+
+        let path = dir.join(LOG_FILE);
+        let scan = scan_file(&path)?;
+        let mut persister = Persister {
+            dir: dir.to_path_buf(),
+            log: None,
+            compact_every: compact_every.max(1),
+            compact_bytes: compact_bytes.max(1),
+            appends: 0,
+            appended_bytes: 0,
+            dead: None,
+            frame_buf: Vec::new(),
+            #[cfg(feature = "fault-inject")]
+            faults: DiskFaults::default(),
+        };
+        match &scan.header {
+            HeaderStatus::Ok => {
+                report.records = scan.records.len();
+                report.torn_tail = scan.torn_at.is_some();
+                report.corrupt_records = scan.corrupt.len();
+                if !scan.corrupt.is_empty() {
+                    if let Ok(q) = quarantine(dir, &scan.corrupt) {
+                        report.warnings.push(format!(
+                            "{} corrupt frame(s) quarantined to {}",
+                            scan.corrupt.len(),
+                            q.display()
+                        ));
+                    }
+                }
+                if let Some(at) = scan.torn_at {
+                    report
+                        .warnings
+                        .push(format!("torn final record at byte {at} dropped"));
+                }
+                if !scan.corrupt.is_empty() || scan.torn_at.is_some() {
+                    // Rewrite the survivors so the damage never compounds
+                    // across restarts.
+                    persister.compact(scan.records.iter().map(PersistRecord::as_ref))?;
+                }
+            }
+            HeaderStatus::Missing => {}
+            HeaderStatus::Refused(why) => {
+                // Set the file aside so the next start is clean and the
+                // bytes stay available for inspection.
+                let moved = fs::rename(&path, sibling(dir, "refused")).is_ok();
+                report.refused = Some(format!(
+                    "{LOG_FILE}: {why}{}",
+                    if moved {
+                        " (set aside as *.refused, starting cold)"
+                    } else {
+                        " (could not set aside; starting cold)"
+                    }
                 ));
             }
         }
-
-        let mut records = Vec::new();
-
-        // Snapshot: read-only recovery. Corrupt frames are quarantined,
-        // but the file itself is left as-is — the next snapshot rewrites
-        // it wholesale anyway.
-        let snap = scan_file(&dir.join(SNAPSHOT_FILE), FileKind::Snapshot)?;
-        match &snap.header {
-            HeaderStatus::Ok => {
-                report.snapshot_records = snap.records.len();
-                report.torn_tail |= snap.torn_at.is_some();
-                if !snap.corrupt.is_empty() {
-                    report.corrupt_records += snap.corrupt.len();
-                    if let Ok(q) = quarantine(dir, FileKind::Snapshot, &snap.corrupt) {
-                        report.warnings.push(format!(
-                            "{} corrupt snapshot frame(s) quarantined to {}",
-                            snap.corrupt.len(),
-                            q.display()
-                        ));
-                    }
-                }
-                records.extend(snap.records);
-            }
-            HeaderStatus::Missing => {}
-            HeaderStatus::Refused(why) => {
-                set_aside_refused(dir, FileKind::Snapshot, &mut report, why);
-            }
+        if persister.log.is_none() {
+            persister.open_log()?;
         }
-
-        // Journal: recovery with repair. A torn tail is truncated away; a
-        // journal with mid-file corruption is rewritten (good records
-        // only) so it never degrades further across restarts.
-        let journal_path = dir.join(JOURNAL_FILE);
-        let jour = scan_file(&journal_path, FileKind::Journal)?;
-        let mut journal_good = 0u64;
-        match &jour.header {
-            HeaderStatus::Ok => {
-                report.journal_records = jour.records.len();
-                report.torn_tail |= jour.torn_at.is_some();
-                if !jour.corrupt.is_empty() {
-                    report.corrupt_records += jour.corrupt.len();
-                    if let Ok(q) = quarantine(dir, FileKind::Journal, &jour.corrupt) {
-                        report.warnings.push(format!(
-                            "{} corrupt journal frame(s) quarantined to {}",
-                            jour.corrupt.len(),
-                            q.display()
-                        ));
-                    }
-                    rewrite_journal(dir, &jour.records)?;
-                } else if let Some(at) = jour.torn_at {
-                    let f = OpenOptions::new().write(true).open(&journal_path)?;
-                    f.set_len(at)?;
-                    report.warnings.push(format!(
-                        "journal truncated to {at} bytes (torn final record)"
-                    ));
-                }
-                journal_good = jour.records.len() as u64;
-                records.extend(jour.records);
-            }
-            HeaderStatus::Missing => {}
-            HeaderStatus::Refused(why) => {
-                set_aside_refused(dir, FileKind::Journal, &mut report, why);
-            }
-        }
-
-        // Open (or create) the journal for appending; a fresh or
-        // just-refused file gets its header now.
-        let mut journal = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&journal_path)?;
-        if journal.metadata()?.len() == 0 {
-            journal.write_all(&header_bytes(FileKind::Journal))?;
-        }
-
-        Ok((
-            Persister {
-                dir: dir.to_path_buf(),
-                journal: Some(journal),
-                snapshot_every: snapshot_every.max(1),
-                journal_records: journal_good,
-                dead: None,
-                frame_buf: Vec::new(),
-                #[cfg(feature = "fault-inject")]
-                faults: DiskFaults::default(),
-            },
-            records,
-            report,
-        ))
+        // What the log holds at open — a repaired log included, which may
+        // still carry duplicates and evicted keys — counts towards the
+        // first compaction, so the log stays within the bound.
+        persister.appends = scan.records.len() as u64;
+        persister.appended_bytes = fs::metadata(&path)?.len().saturating_sub(HEADER_LEN as u64);
+        Ok((persister, scan.records, report))
     }
 
-    /// The cache directory this persister writes into.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Opens the log for appending, stamping the header into a fresh (or
+    /// just set-aside) file.
+    fn open_log(&mut self) -> io::Result<()> {
+        let mut log = OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(self.dir.join(LOG_FILE))?;
+        if log.metadata()?.len() == 0 {
+            log.write_all(&header_bytes())?;
+        }
+        self.log = Some(log);
+        Ok(())
     }
 
     /// Arms injected disk deaths (test builds only).
@@ -705,16 +644,9 @@ impl Persister {
         self.dead.as_deref()
     }
 
-    /// Journal records appended since the last snapshot (or open).
-    #[must_use]
-    pub fn journal_backlog(&self) -> u64 {
-        self.journal_records
-    }
-
-    /// Appends one insert to the journal (no fsync — a torn tail is
-    /// recoverable by design). Returns whether the snapshot cadence is
-    /// due; I/O failure kills the persister quietly instead of the
-    /// daemon.
+    /// Appends one insert to the log (no fsync — a torn tail is
+    /// recoverable by design). Returns whether compaction is due; I/O
+    /// failure kills the persister quietly instead of the daemon.
     pub fn append(&mut self, rec: &RecordRef<'_>) -> bool {
         if self.dead.is_some() {
             return false;
@@ -722,179 +654,113 @@ impl Persister {
         let mut frame = std::mem::take(&mut self.frame_buf);
         frame.clear();
         encode_frame(rec, &mut frame);
-        let outcome = self.write_journal_bytes(&frame);
+        let written = match self.log.as_mut() {
+            None => Err(io::Error::other("log handle missing")),
+            #[cfg(not(feature = "fault-inject"))]
+            Some(log) => log.write_all(&frame).map(|()| true),
+            #[cfg(feature = "fault-inject")]
+            Some(log) => write_or_die(log, &frame, &mut self.faults.append_kill_after),
+        };
         self.frame_buf = frame;
-        match outcome {
-            Ok(()) => {
-                if self.dead.is_some() {
-                    // An injected death wrote a prefix: the journal now has
-                    // a torn tail, exactly like a real kill.
-                    return false;
-                }
-                self.journal_records += 1;
-                self.journal_records >= self.snapshot_every
+        match written {
+            Ok(true) => {
+                self.appends += 1;
+                self.appended_bytes += self.frame_buf.len() as u64;
+                self.appends >= self.compact_every || self.appended_bytes >= self.compact_bytes
+            }
+            Ok(false) => {
+                // The injected death wrote a prefix: the log now has a
+                // torn tail, exactly like a real kill.
+                self.dead = Some("injected disk death during append".to_string());
+                false
             }
             Err(e) => {
-                self.dead = Some(format!("journal append failed: {e}"));
+                self.dead = Some(format!("log append failed: {e}"));
                 false
             }
         }
     }
 
-    #[cfg(not(feature = "fault-inject"))]
-    fn write_journal_bytes(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self.journal.as_mut() {
-            Some(f) => f.write_all(buf),
-            None => Err(io::Error::other("journal handle missing")),
-        }
-    }
-
-    #[cfg(feature = "fault-inject")]
-    fn write_journal_bytes(&mut self, buf: &[u8]) -> io::Result<()> {
-        let Some(f) = self.journal.as_mut() else {
-            return Err(io::Error::other("journal handle missing"));
-        };
-        match &mut self.faults.journal_kill_after {
-            None => f.write_all(buf),
-            Some(budget) => {
-                let n = (*budget).min(buf.len() as u64) as usize;
-                f.write_all(&buf[..n])?;
-                *budget -= n as u64;
-                if n < buf.len() {
-                    self.dead = Some("injected disk death during journal append".to_string());
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Writes a compacted snapshot: tmp file (guarded), fsync, atomic
-    /// rename, then journal truncation — in that order, so a crash at
-    /// any point leaves a loadable state. Returns the record count.
+    /// Rewrites the log as exactly `records`: tmp file (guarded), fsync,
+    /// atomic rename, directory sync, reopened append handle — in that
+    /// order, so a crash at any point leaves a loadable log. Returns the
+    /// record count.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error (the persister is dead
     /// afterwards; the daemon keeps serving from memory).
-    pub fn write_snapshot(&mut self, records: &[PersistRecord]) -> io::Result<usize> {
+    pub fn compact<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = RecordRef<'a>>,
+    ) -> io::Result<usize> {
         if let Some(reason) = &self.dead {
             return Err(io::Error::other(reason.clone()));
         }
-        let tmp = tmp_path(&self.dir, FileKind::Snapshot);
-        let mut guard = TmpGuard::new(tmp.clone());
-        let written = self.write_snapshot_tmp(&tmp, records);
-        match written {
-            Ok(true) => {}
-            Ok(false) => {
-                // Injected death mid-snapshot: leave the tmp behind (a
-                // real kill would), do NOT rename, do NOT touch the
-                // journal — startup recovery must cope with all of it.
-                guard.disarm();
-                let reason = "injected disk death during snapshot".to_string();
-                self.dead = Some(reason.clone());
-                return Err(io::Error::other(reason));
+        let outcome = self.rewrite(records);
+        match &outcome {
+            Ok(_) => {
+                self.appends = 0;
+                self.appended_bytes = 0;
             }
-            Err(e) => {
-                // The guard removes the tmp on this path.
-                self.dead = Some(format!("snapshot write failed: {e}"));
-                return Err(e);
-            }
+            Err(e) => self.dead = Some(format!("compaction failed: {e}")),
         }
-        fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE)).map_err(|e| {
-            self.dead = Some(format!("snapshot rename failed: {e}"));
-            e
-        })?;
+        outcome
+    }
+
+    /// The body of [`Persister::compact`], minus the dead-persister
+    /// bookkeeping.
+    fn rewrite<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = RecordRef<'a>>,
+    ) -> io::Result<usize> {
+        let tmp = sibling(&self.dir, "tmp");
+        let mut guard = TmpGuard::new(tmp.clone());
+        let mut f = File::create(&tmp)?;
+        #[cfg(feature = "fault-inject")]
+        let mut kill_after = self.faults.compact_kill_after;
+        let mut records = records.into_iter();
+        let mut written = 0;
+        // The header first, then one frame per record.
+        let mut buf = header_bytes().to_vec();
+        loop {
+            #[cfg(not(feature = "fault-inject"))]
+            let whole = f.write_all(&buf).map(|()| true)?;
+            #[cfg(feature = "fault-inject")]
+            let whole = write_or_die(&mut f, &buf, &mut kill_after)?;
+            if !whole {
+                // Injected death: leave the tmp behind and the log
+                // untouched, exactly as a real kill would.
+                guard.disarm();
+                return Err(io::Error::other("injected disk death"));
+            }
+            let Some(rec) = records.next() else {
+                break;
+            };
+            buf.clear();
+            encode_frame(&rec, &mut buf);
+            written += 1;
+        }
+        f.sync_all()?;
+        // Close the old handle first: some platforms refuse to rename
+        // over an open file.
+        self.log = None;
+        fs::rename(&tmp, self.dir.join(LOG_FILE))?;
         guard.disarm();
         // Best-effort directory sync makes the rename durable; a failure
         // here costs durability of this one compaction, not correctness.
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        self.reset_journal().map_err(|e| {
-            self.dead = Some(format!("journal truncation failed: {e}"));
-            e
-        })?;
-        Ok(records.len())
-    }
-
-    /// Writes header + records to the tmp file and fsyncs. `Ok(false)`
-    /// means an injected death consumed the write budget.
-    fn write_snapshot_tmp(&mut self, tmp: &Path, records: &[PersistRecord]) -> io::Result<bool> {
-        let mut f = File::create(tmp)?;
-        #[cfg(feature = "fault-inject")]
-        let mut budget = self.faults.snapshot_kill_after;
-        #[cfg(feature = "fault-inject")]
-        let mut write = |f: &mut File, buf: &[u8]| -> io::Result<bool> {
-            match &mut budget {
-                None => f.write_all(buf).map(|()| true),
-                Some(b) => {
-                    let n = (*b).min(buf.len() as u64) as usize;
-                    f.write_all(&buf[..n])?;
-                    *b -= n as u64;
-                    Ok(n == buf.len())
-                }
-            }
-        };
-        #[cfg(not(feature = "fault-inject"))]
-        let write =
-            |f: &mut File, buf: &[u8]| -> io::Result<bool> { f.write_all(buf).map(|()| true) };
-        if !write(&mut f, &header_bytes(FileKind::Snapshot))? {
-            return Ok(false);
-        }
-        let mut frame = std::mem::take(&mut self.frame_buf);
-        for rec in records {
-            frame.clear();
-            encode_frame(&rec.as_ref(), &mut frame);
-            if !write(&mut f, &frame)? {
-                self.frame_buf = frame;
-                return Ok(false);
-            }
-        }
-        self.frame_buf = frame;
-        f.sync_all()?;
-        Ok(true)
-    }
-
-    /// Truncates the journal back to a bare header (the snapshot now
-    /// covers everything it held).
-    fn reset_journal(&mut self) -> io::Result<()> {
-        self.journal = None;
-        let path = self.dir.join(JOURNAL_FILE);
-        let mut f = File::create(&path)?;
-        f.write_all(&header_bytes(FileKind::Journal))?;
-        f.sync_all()?;
-        self.journal = Some(f);
-        self.journal_records = 0;
-        Ok(())
+        self.open_log()?;
+        Ok(written)
     }
 }
 
-/// Atomically replaces the journal with `records` (used when mid-file
-/// corruption was quarantined: the survivors are rewritten so the
-/// damage never compounds).
-fn rewrite_journal(dir: &Path, records: &[PersistRecord]) -> io::Result<()> {
-    let tmp = tmp_path(dir, FileKind::Journal);
-    let mut guard = TmpGuard::new(tmp.clone());
-    let mut f = File::create(&tmp)?;
-    f.write_all(&header_bytes(FileKind::Journal))?;
-    let mut frame = Vec::new();
-    for rec in records {
-        frame.clear();
-        encode_frame(&rec.as_ref(), &mut frame);
-        f.write_all(&frame)?;
-    }
-    f.sync_all()?;
-    fs::rename(&tmp, dir.join(JOURNAL_FILE))?;
-    guard.disarm();
-    Ok(())
-}
-
-/// One file's read-only verification verdict.
-#[derive(Clone, Debug)]
-pub struct FileVerify {
-    /// File name within the directory.
-    pub name: &'static str,
-    /// Whether the file exists (an absent file is clean: cold start).
+/// The result of `cvliw cache verify <dir>`: a pure read of the log.
+#[derive(Clone, Debug, Default)]
+pub struct VerifyReport {
+    /// Whether the log exists (an absent log is clean: cold start).
     pub present: bool,
     /// Whole-file refusal reason, if the header mismatched.
     pub refused: Option<String>,
@@ -904,35 +770,17 @@ pub struct FileVerify {
     pub issues: Vec<ScanIssue>,
 }
 
-/// The result of `cvliw cache verify <dir>`: a pure read of both files.
-#[derive(Clone, Debug, Default)]
-pub struct VerifyReport {
-    /// Per-file verdicts (snapshot, then journal).
-    pub files: Vec<FileVerify>,
-}
-
 impl VerifyReport {
-    /// Whether every present file verified end to end.
+    /// Whether the log, if present, verified end to end.
     #[must_use]
     pub fn clean(&self) -> bool {
-        self.files
-            .iter()
-            .all(|f| f.refused.is_none() && f.issues.is_empty())
+        self.refused.is_none() && self.issues.is_empty()
     }
 
-    /// Total verified records across both files.
-    #[must_use]
-    pub fn records(&self) -> usize {
-        self.files.iter().map(|f| f.records).sum()
-    }
-
-    /// Total issues (refusals count as one each).
+    /// Total issues (a refusal counts as one).
     #[must_use]
     pub fn issue_count(&self) -> usize {
-        self.files
-            .iter()
-            .map(|f| f.issues.len() + usize::from(f.refused.is_some()))
-            .sum()
+        self.issues.len() + usize::from(self.refused.is_some())
     }
 }
 
@@ -941,26 +789,28 @@ impl VerifyReport {
 ///
 /// # Errors
 ///
-/// Propagates I/O errors other than missing files.
+/// Fails if `dir` is not an existing directory — a mistyped path must
+/// not pass the audit as a clean cold start — and propagates I/O errors
+/// other than a missing log.
 pub fn verify_dir(dir: &Path) -> io::Result<VerifyReport> {
-    let mut report = VerifyReport::default();
-    for kind in [FileKind::Snapshot, FileKind::Journal] {
-        let path = dir.join(kind.file_name());
-        let scan = scan_file(&path, kind)?;
-        let (present, refused) = match &scan.header {
-            HeaderStatus::Ok => (true, None),
-            HeaderStatus::Missing => (path.exists(), None),
-            HeaderStatus::Refused(why) => (true, Some(why.clone())),
-        };
-        report.files.push(FileVerify {
-            name: kind.file_name(),
-            present,
-            refused,
-            records: scan.records.len(),
-            issues: scan.issues,
-        });
+    if !fs::metadata(dir)?.is_dir() {
+        return Err(io::Error::new(
+            io::ErrorKind::NotADirectory,
+            "not a directory",
+        ));
     }
-    Ok(report)
+    let path = dir.join(LOG_FILE);
+    let scan = scan_file(&path)?;
+    let refused = match scan.header {
+        HeaderStatus::Refused(why) => Some(why),
+        HeaderStatus::Ok | HeaderStatus::Missing => None,
+    };
+    Ok(VerifyReport {
+        present: path.exists(),
+        refused,
+        records: scan.records.len(),
+        issues: scan.issues,
+    })
 }
 
 #[cfg(test)]
@@ -978,8 +828,8 @@ mod tests {
         }
     }
 
-    fn file_bytes(kind: FileKind, records: &[PersistRecord]) -> Vec<u8> {
-        let mut out = header_bytes(kind).to_vec();
+    fn file_bytes(records: &[PersistRecord]) -> Vec<u8> {
+        let mut out = header_bytes().to_vec();
         for r in records {
             encode_frame(&r.as_ref(), &mut out);
         }
@@ -993,8 +843,8 @@ mod tests {
             rec(1, ""),
             rec(7, "payload with \u{1F980}"),
         ];
-        let bytes = file_bytes(FileKind::Snapshot, &records);
-        let scan = scan_bytes(&bytes, FileKind::Snapshot);
+        let bytes = file_bytes(&records);
+        let scan = scan_bytes(&bytes);
         assert_eq!(scan.header, HeaderStatus::Ok);
         assert_eq!(scan.records, records);
         assert!(scan.corrupt.is_empty() && scan.torn_at.is_none());
@@ -1003,10 +853,10 @@ mod tests {
     #[test]
     fn torn_tail_is_detected_at_the_right_offset() {
         let records = vec![rec(0, "aaaa"), rec(1, "bbbb")];
-        let bytes = file_bytes(FileKind::Journal, &records);
-        let one = file_bytes(FileKind::Journal, &records[..1]);
+        let bytes = file_bytes(&records);
+        let one = file_bytes(&records[..1]);
         for cut in (one.len() + 1)..bytes.len() {
-            let scan = scan_bytes(&bytes[..cut], FileKind::Journal);
+            let scan = scan_bytes(&bytes[..cut]);
             assert_eq!(scan.records.len(), 1, "cut at {cut}");
             assert_eq!(scan.torn_at, Some(one.len() as u64), "cut at {cut}");
         }
@@ -1015,11 +865,11 @@ mod tests {
     #[test]
     fn bit_flip_is_quarantined_and_the_rest_still_loads() {
         let records = vec![rec(0, "aaaa"), rec(1, "bbbb"), rec(2, "cccc")];
-        let mut bytes = file_bytes(FileKind::Journal, &records);
-        let one = file_bytes(FileKind::Journal, &records[..1]).len();
+        let mut bytes = file_bytes(&records);
+        let one = file_bytes(&records[..1]).len();
         // Flip one bit inside the second record's body.
         bytes[one + FRAME_HEADER_LEN + 3] ^= 0x10;
-        let scan = scan_bytes(&bytes, FileKind::Journal);
+        let scan = scan_bytes(&bytes);
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.records[0].stamp, 0);
         assert_eq!(scan.records[1].stamp, 2);
@@ -1030,28 +880,28 @@ mod tests {
     #[test]
     fn wrong_version_and_schema_are_refused() {
         let records = vec![rec(0, "x")];
-        let mut bytes = file_bytes(FileKind::Snapshot, &records);
+        let mut bytes = file_bytes(&records);
         bytes[8] = 99; // version
         assert!(matches!(
-            scan_bytes(&bytes, FileKind::Snapshot).header,
+            scan_bytes(&bytes).header,
             HeaderStatus::Refused(ref why) if why.contains("version 99")
         ));
-        let mut bytes = file_bytes(FileKind::Snapshot, &records);
+        let mut bytes = file_bytes(&records);
         bytes[15] ^= 0xff; // schema hash
         assert!(matches!(
-            scan_bytes(&bytes, FileKind::Snapshot).header,
+            scan_bytes(&bytes).header,
             HeaderStatus::Refused(ref why) if why.contains("schema hash")
         ));
-        let scan = scan_bytes(b"not a cache file at all", FileKind::Snapshot);
+        let scan = scan_bytes(b"not a cache file at all");
         assert!(matches!(scan.header, HeaderStatus::Refused(_)));
     }
 
     #[test]
     fn implausible_length_quarantines_the_rest() {
-        let mut bytes = file_bytes(FileKind::Journal, &[rec(0, "aa"), rec(1, "bb")]);
-        let one = file_bytes(FileKind::Journal, &[rec(0, "aa")]).len();
+        let mut bytes = file_bytes(&[rec(0, "aa"), rec(1, "bb")]);
+        let one = file_bytes(&[rec(0, "aa")]).len();
         bytes[one..one + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let scan = scan_bytes(&bytes, FileKind::Journal);
+        let scan = scan_bytes(&bytes);
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.corrupt.len(), 1);
         assert!(scan.issues[0].detail.contains("implausible"));

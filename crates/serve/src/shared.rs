@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -41,7 +41,7 @@ use cvliw_replicate::Mode;
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::json;
-use crate::persist::{LoadReport, PersistRecord, Persister, RecordRef, DEFAULT_SNAPSHOT_EVERY};
+use crate::persist::{LoadReport, Persister, RecordRef};
 use crate::protocol::ErrorKind;
 use crate::server::{ServeStats, ServerConfig};
 
@@ -145,33 +145,12 @@ impl ShedGate {
     }
 }
 
-/// Where and how often to persist the result cache.
-#[derive(Clone, Debug)]
-pub struct PersistConfig {
-    /// Directory holding `snapshot.bin` / `journal.bin` (created if
-    /// missing).
-    pub dir: PathBuf,
-    /// Journal records between compacted snapshots.
-    pub snapshot_every: u64,
-}
-
-impl PersistConfig {
-    /// Persistence into `dir` at the default snapshot cadence.
-    #[must_use]
-    pub fn new(dir: PathBuf) -> Self {
-        PersistConfig {
-            dir,
-            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-        }
-    }
-}
-
 /// Everything one daemon's sessions share. Construct once, hand an
 /// `Arc` clone to each [`crate::server::Server`] session.
 ///
 /// Lock ordering: the persister's lock is acquired only while the cache
-/// lock is **not** held (inserts journal after releasing the cache;
-/// snapshots take the cache lock briefly under the persist lock). The
+/// lock is **not** held (inserts append after releasing the cache;
+/// compaction takes the cache lock briefly under the persist lock). The
 /// spec-table lock nests inside the persist lock but never wraps a lock,
 /// and the cache and spec-table locks are never held together.
 #[derive(Debug)]
@@ -210,21 +189,21 @@ impl SharedState {
         Arc::new(SharedState::build(cfg))
     }
 
-    /// Builds shared state backed by an on-disk cache directory:
-    /// recovers whatever the directory holds (tolerating every
-    /// corruption mode — see [`crate::persist`]), replays it into the
-    /// cache in stamp order, and arms journaling + snapshots.
+    /// Builds shared state backed by the on-disk cache log in `dir`:
+    /// recovers whatever the log holds (tolerating every corruption mode
+    /// — see [`crate::persist`]), replays it into the cache in stamp
+    /// order, and arms appends. The log compacts whenever the appends
+    /// since the last compaction reach `cache_entries`, or their frames
+    /// `cache_bytes`, so it never holds much more than twice what the
+    /// cache can.
     ///
     /// # Errors
     ///
     /// Fails if the cache is disabled (`cache_entries`/`cache_bytes`
     /// zero — persisting nothing is a configuration contradiction) or
-    /// if the directory/journal cannot be created or opened. Recovery
-    /// of damaged files is *not* an error.
-    pub fn with_persistence(
-        cfg: &ServerConfig,
-        pcfg: &PersistConfig,
-    ) -> io::Result<(Arc<Self>, LoadReport)> {
+    /// if the directory or log cannot be created or opened. Recovery
+    /// of a damaged log is *not* an error.
+    pub fn with_persistence(cfg: &ServerConfig, dir: &Path) -> io::Result<(Arc<Self>, LoadReport)> {
         if cfg.cache_entries == 0 || cfg.cache_bytes == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -232,14 +211,16 @@ impl SharedState {
                  (cache_entries and cache_bytes both nonzero)",
             ));
         }
-        let (persister, mut records, mut report) = Persister::open(&pcfg.dir, pcfg.snapshot_every)?;
+        let bound = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+        let (persister, mut records, mut report) =
+            Persister::open(dir, bound(cfg.cache_entries), bound(cfg.cache_bytes))?;
         let state = SharedState::build(cfg);
 
         // Replay in stamp order so the restored LRU evicts exactly as
-        // the never-restarted cache would have. Duplicate stamps (a
-        // crash between snapshot rename and journal truncation replays
-        // the overlap) resolve idempotently: later file order wins via
-        // plain re-insert, and the stable sort preserves file order.
+        // the never-restarted cache would have: concurrent sessions can
+        // append slightly out of stamp order, and a key evicted and
+        // compiled again appears once per insert — re-inserting keeps
+        // the later stamp, as the live cache did.
         records.sort_by_key(|r| r.stamp);
         let mut max_stamp = None::<u64>;
         for rec in records {
@@ -265,7 +246,7 @@ impl SharedState {
                 mode: rec.mode,
                 seeds: rec.seeds,
             };
-            // Direct cache insert: replay must not re-journal.
+            // Direct cache insert: replay must not append again.
             if let Some(mut cache) = state.cache() {
                 cache.insert(key, Arc::from(&*rec.payload), rec.stamp);
             }
@@ -322,9 +303,9 @@ impl SharedState {
     }
 
     /// Inserts into the cache; returns how many entries it evicted. With
-    /// persistence armed the insert is also journaled — after the cache
-    /// lock is released, so the disk write never extends its hold time —
-    /// and a due snapshot cadence triggers compaction.
+    /// persistence armed the insert is also appended to the log — after
+    /// the cache lock is released, so the disk write never extends its
+    /// hold time — and a due cadence triggers compaction.
     pub(crate) fn cache_insert(&self, key: CacheKey, payload: Arc<str>, stamp: u64) -> u64 {
         let Some(mut cache) = self.cache() else {
             return 0;
@@ -354,29 +335,31 @@ impl SharedState {
         evicted
     }
 
-    /// Writes a compacted snapshot now (graceful shutdown, cadence, or
-    /// an explicit flush). `None` when persistence is off; `Ok(n)` is
-    /// the record count written.
+    /// Compacts the log to the live cache now (graceful shutdown,
+    /// cadence, or an explicit flush). `None` when persistence is off;
+    /// `Ok(n)` is the record count written.
     pub fn snapshot_now(&self) -> Option<io::Result<usize>> {
         let persist = self.persist.as_ref()?;
         let mut persister = relock(persist);
-        let mut entries = self.cache().map_or_else(Vec::new, |cache| cache.export());
-        entries.sort_by_key(|&(_, stamp, _)| stamp);
-        let mut records = Vec::with_capacity(entries.len());
-        for (key, stamp, payload) in entries {
-            let Some(spec) = self.spec_text(key.spec) else {
-                continue; // unreachable: cached keys were interned
-            };
-            records.push(PersistRecord {
+        let mut entries: Vec<_> = self
+            .cache()
+            .map_or_else(Vec::new, |cache| cache.export())
+            .into_iter()
+            .filter_map(|(key, stamp, payload)| {
+                Some((key, stamp, payload, self.spec_text(key.spec)?))
+            })
+            .collect();
+        entries.sort_by_key(|&(_, stamp, _, _)| stamp);
+        Some(
+            persister.compact(entries.iter().map(|(key, stamp, payload, spec)| RecordRef {
                 fp: key.fp,
                 mode: key.mode,
                 seeds: key.seeds,
-                stamp,
-                spec: Box::from(&*spec),
-                payload: Box::from(&*payload),
-            });
-        }
-        Some(persister.write_snapshot(&records))
+                stamp: *stamp,
+                spec,
+                payload,
+            })),
+        )
     }
 
     /// Why persistence stopped writing, if it has (the daemon keeps

@@ -148,13 +148,13 @@ fn warm_batch_with_deadline_and_inflight_bound_still_allocates_nothing() {
     );
 }
 
-/// Persistence must stay off the hit path: journal appends happen on
+/// Persistence must stay off the hit path: log appends happen on
 /// *insert* (a miss), so a warm batch against a persistence-backed cache
 /// is still exactly zero allocations — no frame encoding, no persister
 /// lock traffic, no `PathBuf` churn.
 #[test]
 fn warm_batch_with_persistence_enabled_still_allocates_nothing() {
-    use cvliw_serve::{PersistConfig, SharedState};
+    use cvliw_serve::SharedState;
 
     let _serial = serial();
     let dir = std::env::temp_dir().join(format!("cvliw-alloc-persist-{}", std::process::id()));
@@ -163,8 +163,7 @@ fn warm_batch_with_persistence_enabled_still_allocates_nothing() {
         jobs: 2,
         ..cvliw_serve::ServerConfig::default()
     };
-    let (shared, load) =
-        SharedState::with_persistence(&cfg, &PersistConfig::new(dir.clone())).expect("cold open");
+    let (shared, load) = SharedState::with_persistence(&cfg, &dir).expect("cold open");
     assert_eq!(load.loaded, 0);
     let mut server = Server::with_shared(cfg, shared);
 

@@ -234,35 +234,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Crash recovery under every seeded disk fault — the persister dies
-    /// mid-journal-append or mid-snapshot (exactly as `kill -9` would:
-    /// a written prefix, no cleanup), or the harness truncates /
-    /// bit-flips the journal between runs. Whatever the fault, the
-    /// restarted daemon must (a) recover without panicking, (b) answer
-    /// the replayed stream byte-identical to the one-shot oracle — a
-    /// corrupted entry surviving into the cache would diverge right
-    /// here — and (c) leave a directory that then verifies clean.
+    /// mid-append or mid-compaction (exactly as `kill -9` would: a
+    /// written prefix, no cleanup), or the harness truncates / bit-flips
+    /// the log between runs. Whatever the fault, the restarted daemon
+    /// must (a) recover without panicking, (b) answer the replayed
+    /// stream byte-identical to the one-shot oracle — a corrupted entry
+    /// surviving into the cache would diverge right here — and (c) leave
+    /// a directory that then verifies clean.
     #[test]
     fn any_disk_fault_recovers_byte_identical_to_the_oracle(seed in 0u64..1_000_000) {
-        use cvliw_serve::{PersistConfig, SharedState};
+        use cvliw_serve::SharedState;
 
         const N: u64 = 6;
         let scratch = Scratch::new(seed);
         let plan = FaultPlan::seeded_disk(seed, 2048);
         let cfg = ServerConfig {
             jobs: 1,
-            cache_entries: 64,
+            cache_entries: 2, // compactions fire mid-stream, so their kill can land
             ..ServerConfig::default()
-        };
-        let pcfg = PersistConfig {
-            dir: scratch.0.clone(),
-            snapshot_every: 2, // snapshots fire mid-stream, so their kill can land
         };
 
         // Life 1: serve with the write-time deaths armed. Responses are
         // oracle-correct regardless — a dead persister stops writing,
         // never serving.
         {
-            let (shared, _) = SharedState::with_persistence(&cfg, &pcfg).expect("cold open");
+            let (shared, _) = SharedState::with_persistence(&cfg, &scratch.0).expect("cold open");
             shared.set_disk_faults(plan.disk_faults());
             let mut s = Server::with_shared(cfg, shared);
             for i in 0..N {
@@ -270,36 +266,40 @@ proptest! {
                 let got = serve_one(&mut s, i, &src);
                 prop_assert_eq!(got, oneshot_response(i, &src), "life-1 stamp {}", i);
             }
-            // No final snapshot: the "process" dies right here.
+            // No final compaction: the "process" dies right here.
         }
 
-        // Between runs the harness-side faults mutilate the journal.
-        let journal = scratch.0.join(cvliw_serve::persist::JOURNAL_FILE);
+        // Between runs the harness-side faults mutilate the log.
+        let log = scratch.0.join(cvliw_serve::persist::LOG_FILE);
         if let Some(at) = plan.truncate_file {
-            if let Ok(data) = std::fs::read(&journal) {
+            if let Ok(data) = std::fs::read(&log) {
                 let cut = (at as usize).min(data.len());
-                std::fs::write(&journal, &data[..cut]).expect("truncate journal");
+                std::fs::write(&log, &data[..cut]).expect("truncate log");
             }
         }
         if let Some((byte, bit)) = plan.flip_bit {
-            if let Ok(mut data) = std::fs::read(&journal) {
+            if let Ok(mut data) = std::fs::read(&log) {
                 if !data.is_empty() {
                     let at = (byte as usize) % data.len();
                     data[at] ^= 1 << bit;
-                    std::fs::write(&journal, &data).expect("flip journal bit");
+                    std::fs::write(&log, &data).expect("flip log bit");
                 }
             }
         }
 
         // Life 2: recover and replay. Hits serve recovered bytes, misses
         // recompile — either way every response must match the oracle.
-        let (shared, _) = SharedState::with_persistence(&cfg, &pcfg).expect("recovery");
+        // A cache larger than the stream keeps every recovered entry
+        // resident, so each one is served (and checked) as a hit.
+        let cfg = ServerConfig { cache_entries: 64, ..cfg };
+        let (shared, load) = SharedState::with_persistence(&cfg, &scratch.0).expect("recovery");
         let mut s = Server::with_shared(cfg, shared);
         for i in 0..N {
             let src = distinct_loop(i);
             let got = serve_one(&mut s, 100 + i, &src);
             prop_assert_eq!(got, oneshot_response(100 + i, &src), "life-2 stamp {}", i);
         }
+        prop_assert_eq!(s.stats().hits, load.loaded as u64, "every recovered entry served");
 
         // Recovery repaired whatever it read.
         let verify = cvliw_serve::verify_dir(&scratch.0).expect("verify");

@@ -2,15 +2,17 @@
 //!
 //! Three layers, three property families:
 //!
-//! * **Frame layer** — arbitrary records journaled through [`Persister`]
+//! * **Frame layer** — arbitrary records appended through [`Persister`]
 //!   come back byte-identical; a file cut at *any* byte yields exactly
 //!   the longest complete-record prefix (torn tail detected, never a
 //!   panic, never a fabricated record); a bit flipped *anywhere* after
 //!   the header never produces a record that was not written.
-//! * **Server layer** — a daemon that persists, snapshots, dies and
+//! * **Server layer** — a daemon that persists, compacts, dies and
 //!   restarts answers a continued request stream byte-identically to a
 //!   daemon that never restarted, with the *same* hit/miss/eviction
-//!   counts: the restored LRU is behaviorally indistinguishable.
+//!   counts: the restored LRU is behaviorally indistinguishable. And
+//!   the compaction cadence keeps the log within twice the cache's
+//!   entry bound and twice its byte bound.
 //! * **Refusal layer** — alien headers (wrong version, wrong magic,
 //!   wrong schema hash) start cold with the file set aside, and the
 //!   directory then verifies clean.
@@ -19,13 +21,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cvliw_serve::persist::{
-    scan_bytes, FileKind, HeaderStatus, HEADER_LEN, JOURNAL_FILE, SNAPSHOT_FILE,
-};
+use cvliw_serve::persist::{scan_bytes, HeaderStatus, HEADER_LEN, LOG_FILE};
 use cvliw_serve::testutil::request_line;
-use cvliw_serve::{
-    verify_dir, PersistConfig, PersistRecord, Persister, Server, ServerConfig, SharedState,
-};
+use cvliw_serve::{verify_dir, PersistRecord, Persister, Server, ServerConfig, SharedState};
 use proptest::prelude::*;
 
 const SPEC: &str = "4c1b2l64r";
@@ -80,16 +78,16 @@ fn stamped(mut records: Vec<PersistRecord>) -> Vec<PersistRecord> {
     records
 }
 
-/// Journals `records` into `dir` and returns the journal file's bytes.
-fn journal_bytes(dir: &Path, records: &[PersistRecord]) -> Vec<u8> {
-    let (mut p, loaded, _) = Persister::open(dir, u64::MAX).expect("open scratch dir");
+/// Appends `records` to the log in `dir` and returns the log's bytes.
+fn log_bytes(dir: &Path, records: &[PersistRecord]) -> Vec<u8> {
+    let (mut p, loaded, _) = Persister::open(dir, u64::MAX, u64::MAX).expect("open scratch dir");
     assert!(loaded.is_empty(), "scratch dir must start empty");
     for r in records {
         p.append(&r.as_ref());
     }
     assert!(p.dead_reason().is_none(), "{:?}", p.dead_reason());
     drop(p);
-    fs::read(dir.join(JOURNAL_FILE)).expect("journal exists")
+    fs::read(dir.join(LOG_FILE)).expect("log exists")
 }
 
 /// A family of structurally distinct loops (the recurrence distance
@@ -110,30 +108,30 @@ fn serve_one(s: &mut Server, id: u64, src: &str) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Journal round trip: what the persister appended is exactly what
+    /// Log round trip: what the persister appended is exactly what
     /// recovery returns — same records, same order, same bytes.
     #[test]
-    fn journal_round_trips_byte_identically(
+    fn log_round_trips_byte_identically(
         records in prop::collection::vec(arb_record(), 1..12),
     ) {
         let scratch = Scratch::new("roundtrip");
         let records = stamped(records);
-        let bytes = journal_bytes(&scratch.0, &records);
+        let bytes = log_bytes(&scratch.0, &records);
 
-        let scan = scan_bytes(&bytes, FileKind::Journal);
+        let scan = scan_bytes(&bytes);
         prop_assert_eq!(&scan.header, &HeaderStatus::Ok);
         prop_assert_eq!(&scan.records, &records);
         prop_assert!(scan.corrupt.is_empty() && scan.torn_at.is_none());
 
         // And through the full recovery path (which may repair).
         let (_, recovered, report) =
-            Persister::open(&scratch.0, u64::MAX).expect("reopen");
+            Persister::open(&scratch.0, u64::MAX, u64::MAX).expect("reopen");
         prop_assert_eq!(&recovered, &records);
         prop_assert_eq!(report.corrupt_records, 0);
         prop_assert!(!report.torn_tail);
     }
 
-    /// Cut the journal at *any* byte: recovery yields exactly the
+    /// Cut the log at *any* byte: recovery yields exactly the
     /// records whose frames fit before the cut, repairs the file, and a
     /// second recovery finds nothing left to complain about.
     #[test]
@@ -143,33 +141,33 @@ proptest! {
     ) {
         let scratch = Scratch::new("torn");
         let records = stamped(records);
-        let bytes = journal_bytes(&scratch.0, &records);
+        let bytes = log_bytes(&scratch.0, &records);
 
         // Cut somewhere after the header (a shorter file is a refused
         // header — covered by the refusal tests, not a torn tail).
         let span = bytes.len() - HEADER_LEN;
         let cut = HEADER_LEN + ((span as f64) * cut_frac) as usize;
-        let path = scratch.0.join(JOURNAL_FILE);
-        fs::write(&path, &bytes[..cut]).expect("truncate journal");
+        let path = scratch.0.join(LOG_FILE);
+        fs::write(&path, &bytes[..cut]).expect("truncate log");
 
         // How many whole frames survive the cut?
         let expected: Vec<PersistRecord> = {
-            let scan = scan_bytes(&bytes[..cut], FileKind::Journal);
+            let scan = scan_bytes(&bytes[..cut]);
             scan.records
         };
         prop_assert!(expected.len() <= records.len());
         prop_assert_eq!(&records[..expected.len()], &expected[..]);
 
-        let (_, recovered, report) = Persister::open(&scratch.0, u64::MAX).expect("recover");
+        let (_, recovered, report) = Persister::open(&scratch.0, u64::MAX, u64::MAX).expect("recover");
         prop_assert_eq!(&recovered, &expected);
         prop_assert_eq!(report.corrupt_records, 0);
         // A cut exactly on a frame boundary is not torn, just shorter.
         let on_boundary = expected.len() == records.len()
-            || scan_bytes(&bytes[..cut], FileKind::Journal).torn_at.is_none();
+            || scan_bytes(&bytes[..cut]).torn_at.is_none();
         prop_assert_eq!(report.torn_tail, !on_boundary);
 
         // Recovery repaired the file: a second start is pristine.
-        let (_, again, report2) = Persister::open(&scratch.0, u64::MAX).expect("reopen");
+        let (_, again, report2) = Persister::open(&scratch.0, u64::MAX, u64::MAX).expect("reopen");
         prop_assert_eq!(&again, &expected);
         prop_assert!(!report2.torn_tail);
         prop_assert_eq!(report2.corrupt_records, 0);
@@ -187,17 +185,17 @@ proptest! {
     ) {
         let scratch = Scratch::new("flip");
         let records = stamped(records);
-        let bytes = journal_bytes(&scratch.0, &records);
+        let bytes = log_bytes(&scratch.0, &records);
 
         let span = bytes.len() - HEADER_LEN;
         let flip_at = HEADER_LEN + ((span as f64) * flip_frac) as usize;
         let flip_at = flip_at.min(bytes.len() - 1);
         let mut damaged = bytes.clone();
         damaged[flip_at] ^= 1 << bit;
-        let path = scratch.0.join(JOURNAL_FILE);
-        fs::write(&path, &damaged).expect("write damaged journal");
+        let path = scratch.0.join(LOG_FILE);
+        fs::write(&path, &damaged).expect("write damaged log");
 
-        let (_, recovered, report) = Persister::open(&scratch.0, u64::MAX).expect("recover");
+        let (_, recovered, report) = Persister::open(&scratch.0, u64::MAX, u64::MAX).expect("recover");
 
         // No fabrication: every recovered record is one we wrote.
         for rec in &recovered {
@@ -205,7 +203,7 @@ proptest! {
         }
         // No collateral before the flip: frames wholly before `flip_at`
         // decode from undamaged bytes and must all survive.
-        let intact_prefix = scan_bytes(&bytes[..flip_at], FileKind::Journal).records.len();
+        let intact_prefix = scan_bytes(&bytes[..flip_at]).records.len();
         prop_assert!(
             recovered.len() >= intact_prefix,
             "flip at {flip_at} lost records before it: {} < {intact_prefix}",
@@ -220,11 +218,11 @@ proptest! {
             );
         }
         if report.corrupt_records > 0 {
-            prop_assert!(scratch.0.join(format!("{JOURNAL_FILE}.corrupt")).exists());
+            prop_assert!(scratch.0.join(format!("{LOG_FILE}.corrupt")).exists());
         }
 
         // The repair converged: a second recovery is clean and identical.
-        let (_, again, report2) = Persister::open(&scratch.0, u64::MAX).expect("reopen");
+        let (_, again, report2) = Persister::open(&scratch.0, u64::MAX, u64::MAX).expect("reopen");
         prop_assert_eq!(&again, &recovered);
         prop_assert_eq!(report2.corrupt_records, 0);
         prop_assert!(!report2.torn_tail);
@@ -234,8 +232,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tentpole behavioral property: snapshot + journal recovery is
-    /// *LRU-equivalent* to never restarting. One daemon persists, dies
+    /// The central behavioral property: log recovery is *LRU-equivalent*
+    /// to never restarting. One daemon persists, dies
     /// after an arbitrary split point and recovers; its twin never
     /// restarts. Both then serve the same continued stream: every
     /// response byte-identical, every hit/miss/compile/eviction count
@@ -252,10 +250,6 @@ proptest! {
             cache_entries,
             ..ServerConfig::default()
         };
-        let pcfg = PersistConfig {
-            dir: scratch.0.clone(),
-            snapshot_every: 3, // exercise mid-stream compacted snapshots too
-        };
         let split = ((ids.len() as f64) * split_frac) as usize;
 
         // The twin that never restarts.
@@ -263,7 +257,8 @@ proptest! {
         let mut oracle = Server::with_shared(cfg, oracle_shared.clone());
 
         // Life 1 of the persisted daemon.
-        let (shared, load) = SharedState::with_persistence(&cfg, &pcfg).expect("cold open");
+        // The small cache bound also makes the log compact mid-stream.
+        let (shared, load) = SharedState::with_persistence(&cfg, &scratch.0).expect("cold open");
         prop_assert_eq!(load.loaded, 0);
         let mut persisted = Server::with_shared(cfg, shared.clone());
         for (n, &i) in ids[..split].iter().enumerate() {
@@ -273,13 +268,13 @@ proptest! {
             prop_assert_eq!(got, want, "pre-restart divergence at request {}", n);
         }
         if let Some(outcome) = shared.snapshot_now() {
-            outcome.expect("snapshot");
+            outcome.expect("compaction");
         }
         drop(persisted);
         drop(shared);
 
         // Life 2: recover, then both worlds serve the rest.
-        let (shared, load) = SharedState::with_persistence(&cfg, &pcfg).expect("warm open");
+        let (shared, load) = SharedState::with_persistence(&cfg, &scratch.0).expect("warm open");
         prop_assert_eq!(load.loaded, oracle_shared.cache_len(), "restored size differs");
         let mut persisted = Server::with_shared(cfg, shared.clone());
         let before = oracle_shared.stats().snapshot();
@@ -321,18 +316,18 @@ fn alien_headers_are_refused_set_aside_and_then_verify_clean() {
             spec: Box::from(SPEC),
             payload: Box::from("x"),
         }]);
-        let mut bytes = journal_bytes(&scratch.0, &records);
+        let mut bytes = log_bytes(&scratch.0, &records);
         mutate(&mut bytes);
-        fs::write(scratch.0.join(JOURNAL_FILE), &bytes).expect("write alien journal");
+        fs::write(scratch.0.join(LOG_FILE), &bytes).expect("write alien log");
 
-        let (_, recovered, report) = Persister::open(&scratch.0, u64::MAX).expect(what);
+        let (_, recovered, report) = Persister::open(&scratch.0, u64::MAX, u64::MAX).expect(what);
         assert!(
             recovered.is_empty(),
             "{what}: loaded records from a refused file"
         );
-        assert_eq!(report.refused.len(), 1, "{what}: {report:?}");
+        assert!(report.refused.is_some(), "{what}: {report:?}");
         assert!(
-            scratch.0.join(format!("{JOURNAL_FILE}.refused")).exists(),
+            scratch.0.join(format!("{LOG_FILE}.refused")).exists(),
             "{what}: refused file not set aside"
         );
 
@@ -344,46 +339,118 @@ fn alien_headers_are_refused_set_aside_and_then_verify_clean() {
     }
 }
 
+/// Verified records in the log right now.
+fn log_records(dir: &Path) -> usize {
+    let verify = verify_dir(dir).expect("verify");
+    assert!(verify.clean(), "{verify:?}");
+    verify.records
+}
+
 #[test]
-fn snapshot_compaction_truncates_the_journal_and_survives_restart() {
+fn compaction_rewrites_the_log_to_the_live_entries_and_survives_restart() {
     let scratch = Scratch::new("compact");
     let cfg = ServerConfig {
         jobs: 1,
-        cache_entries: 64,
+        cache_entries: 3,
         ..ServerConfig::default()
     };
-    let pcfg = PersistConfig {
-        dir: scratch.0.clone(),
-        snapshot_every: u64::MAX,
-    };
-    let (shared, _) = SharedState::with_persistence(&cfg, &pcfg).expect("cold open");
+    let (shared, _) = SharedState::with_persistence(&cfg, &scratch.0).expect("cold open");
     let mut server = Server::with_shared(cfg, shared.clone());
     for i in 0..5 {
         serve_one(&mut server, i, &distinct_loop(i as usize));
     }
+    // The third append compacted the log to the 3 live entries; two
+    // more appends followed.
+    assert_eq!(log_records(&scratch.0), 5);
     let n = shared
         .snapshot_now()
         .expect("persistence armed")
-        .expect("snapshot");
-    assert_eq!(n, 5);
-
-    // Compaction: the snapshot holds everything, the journal only a header.
-    let snap = fs::metadata(scratch.0.join(SNAPSHOT_FILE)).expect("snapshot file");
-    let jour = fs::metadata(scratch.0.join(JOURNAL_FILE)).expect("journal file");
-    assert!(snap.len() > HEADER_LEN as u64);
-    assert_eq!(
-        jour.len(),
-        HEADER_LEN as u64,
-        "journal not truncated after snapshot"
-    );
+        .expect("compaction");
+    assert_eq!(n, 3, "compaction writes exactly the live entries");
+    assert_eq!(log_records(&scratch.0), 3);
+    let names: Vec<_> = fs::read_dir(&scratch.0)
+        .expect("list cache dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert_eq!(names, [LOG_FILE], "a clean directory holds only the log");
     drop(server);
     drop(shared);
 
-    let (shared, load) = SharedState::with_persistence(&cfg, &pcfg).expect("warm open");
-    assert_eq!(load.loaded, 5);
-    assert_eq!(load.snapshot_records, 5);
-    assert_eq!(load.journal_records, 0);
-    assert_eq!(shared.cache_len(), 5);
+    let (shared, load) = SharedState::with_persistence(&cfg, &scratch.0).expect("warm open");
+    assert_eq!(load.loaded, 3);
+    assert_eq!(load.records, 3);
+    assert_eq!(shared.cache_len(), 3);
+}
+
+/// Verified records and their payload bytes in the log right now.
+fn log_contents(dir: &Path) -> (usize, usize) {
+    let data = fs::read(dir.join(LOG_FILE)).expect("read log");
+    let scan = scan_bytes(&data);
+    assert!(scan.issues.is_empty(), "{:?}", scan.issues);
+    let bytes = scan.records.iter().map(|r| r.payload.len()).sum();
+    (scan.records.len(), bytes)
+}
+
+/// Serves `inserts` distinct loops with persistence armed and returns the log's peak (records, payload bytes), asserting after every
+/// insert that the log holds at most twice the cache's entry bound and
+/// strictly less than twice its byte bound.
+fn log_peak_under(cfg: ServerConfig, inserts: usize) -> (usize, usize) {
+    let scratch = Scratch::new("bound");
+    let (shared, _) = SharedState::with_persistence(&cfg, &scratch.0).expect("cold open");
+    let mut server = Server::with_shared(cfg, shared);
+    let mut peak = (0, 0);
+    for i in 0..inserts {
+        serve_one(&mut server, i as u64, &distinct_loop(i));
+        let (records, bytes) = log_contents(&scratch.0);
+        assert!(
+            records <= 2 * cfg.cache_entries,
+            "log holds {records} records after insert {i}, bound {}",
+            2 * cfg.cache_entries
+        );
+        assert!(
+            bytes < 2 * cfg.cache_bytes,
+            "log holds {bytes} payload bytes after insert {i}, bound {}",
+            2 * cfg.cache_bytes
+        );
+        peak = (peak.0.max(records), peak.1.max(bytes));
+    }
+    assert_eq!(server.stats().misses, inserts as u64);
+    peak
+}
+
+#[test]
+fn the_log_never_holds_more_than_twice_the_cache_bound() {
+    // The entry bound binds.
+    let cache_entries = 4;
+    let cfg = ServerConfig {
+        jobs: 1,
+        cache_entries,
+        ..ServerConfig::default()
+    };
+    let (records, _) = log_peak_under(cfg, 10 * cache_entries);
+    assert!(
+        records > cache_entries,
+        "the log never grew past one cache's worth"
+    );
+
+    // The byte bound binds: room for a few payloads, entries unbounded
+    // in practice.
+    let mut probe = Server::new(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let payload = serve_one(&mut probe, 0, &distinct_loop(0)).len();
+    let cfg = ServerConfig {
+        jobs: 1,
+        cache_entries: 1 << 20,
+        cache_bytes: 3 * payload,
+        ..ServerConfig::default()
+    };
+    let (_, bytes) = log_peak_under(cfg, 40);
+    assert!(
+        bytes > cfg.cache_bytes,
+        "the log never grew past one cache's worth"
+    );
 }
 
 #[test]
@@ -394,7 +461,6 @@ fn persistence_with_a_disabled_cache_is_refused() {
         cache_entries: 0,
         ..ServerConfig::default()
     };
-    let pcfg = PersistConfig::new(scratch.0.clone());
-    let err = SharedState::with_persistence(&cfg, &pcfg).expect_err("must refuse");
+    let err = SharedState::with_persistence(&cfg, &scratch.0).expect_err("must refuse");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }

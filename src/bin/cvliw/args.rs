@@ -56,9 +56,8 @@ impl fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-const KNOWN_OPTIONS: [&str; 21] = [
+const KNOWN_OPTIONS: [&str; 20] = [
     "cache-path",
-    "snapshot-every",
     "machine",
     "mode",
     "loop",

@@ -195,7 +195,7 @@ COMMANDS:
                            line, with a content-addressed result cache
                            and per-worker persistent compile contexts;
                            --cache-path <dir> makes the cache survive
-                           restarts (journal + snapshots, crash-safe)
+                           restarts (one crash-safe log)
     client                 talk to a socket daemon with reconnect +
                            backoff: compile a .loop file (--machine,
                            --mode), pump stdin JSONL, or --stats
@@ -249,12 +249,13 @@ OPTIONS:
                            0 disables the cache entirely)
     --cache-mb <n>         serve: result-cache payload bound in MiB
                            (default 64; 0 disables the cache entirely)
-    --cache-path <dir>     serve: persist the cache in <dir> (crash-safe
-                           journal + compacted snapshots) and recover it
-                           on startup, tolerating torn/corrupt/alien
-                           files; incompatible with a disabled cache
-    --snapshot-every <n>   serve: journal records between compacted
-                           snapshots (default 1024; requires --cache-path)
+    --cache-path <dir>     serve: persist the cache in <dir>/cache.bin, a
+                           crash-safe log compacted by atomic rewrite
+                           whenever the appends since the last one reach
+                           --cache-entries records or --cache-mb of
+                           frames (and at exit), and recover it on
+                           startup, tolerating torn/corrupt/alien logs;
+                           incompatible with a disabled cache
     --deadline-ms <n>      serve: per-request compile budget; a compile
                            that exceeds it is cancelled at its next II
                            attempt and answers `deadline_exceeded`
@@ -585,12 +586,11 @@ fn cmd_machines(args: &Args) -> Result<(), CliError> {
 /// Options only `cvliw serve` understands; `suite` and `bench` reject
 /// them so a typo'd invocation fails loudly instead of silently ignoring
 /// a daemon knob.
-const SERVE_ONLY_OPTIONS: [&str; 8] = [
+const SERVE_ONLY_OPTIONS: [&str; 7] = [
     "socket",
     "cache-entries",
     "cache-mb",
     "cache-path",
-    "snapshot-every",
     "deadline-ms",
     "sessions",
     "max-inflight",
@@ -820,7 +820,7 @@ fn cmd_bench(args: &Args) -> Result<(), CliError> {
 /// loop, machine, mode and seed config, so none of the grid-shaping
 /// options apply here.
 fn cmd_serve(args: &Args) -> Result<(), CliError> {
-    use cvliw::serve::{PersistConfig, Server, ServerConfig, SharedState};
+    use cvliw::serve::{Server, ServerConfig, SharedState};
 
     for not_serve in [
         "machine",
@@ -872,32 +872,26 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             "sessions (only meaningful with --socket; the stdin daemon is one session)".to_string(),
         )));
     }
-    let snapshot_every = args.get_positive_num::<u64>("snapshot-every")?;
-    if snapshot_every.is_some() && args.get("cache-path").is_none() {
-        return Err(CliError::Usage(UsageError::UnknownOption(
-            "snapshot-every (only meaningful with --cache-path)".to_string(),
-        )));
-    }
-    let persist = match args.get("cache-path") {
-        None => None,
-        Some(dir) => {
-            if cache_disabled {
-                // Persisting a cache that was explicitly disabled is a
-                // contradiction, not a degenerate configuration: fail
-                // loudly (exit 2) instead of writing an empty journal.
-                return Err(CliError::Usage(UsageError::UnknownOption(
-                    "cache-path (contradicts --cache-entries 0 / --cache-mb 0: there is \
-                     no cache to persist)"
-                        .to_string(),
-                )));
-            }
-            let mut pcfg = PersistConfig::new(dir.into());
-            if let Some(every) = snapshot_every {
-                pcfg.snapshot_every = every;
-            }
-            Some(pcfg)
+    let cache_path = args.get("cache-path");
+    if let Some(dir) = cache_path {
+        // An empty path would persist into the current directory.
+        if dir.is_empty() {
+            return Err(CliError::Usage(UsageError::BadValue {
+                option: "cache-path".to_string(),
+                value: String::new(),
+            }));
         }
-    };
+        if cache_disabled {
+            // Persisting a cache that was explicitly disabled is a
+            // contradiction, not a degenerate configuration: fail
+            // loudly (exit 2) instead of writing an empty log.
+            return Err(CliError::Usage(UsageError::UnknownOption(
+                "cache-path (contradicts --cache-entries 0 / --cache-mb 0: there is \
+                 no cache to persist)"
+                    .to_string(),
+            )));
+        }
+    }
     let cfg = ServerConfig {
         jobs,
         cache_entries,
@@ -909,17 +903,13 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         eprintln!("serve: result cache disabled (every request compiles)");
     }
 
-    let shared = match &persist {
+    let shared = match cache_path {
         None => SharedState::new(&cfg),
-        Some(pcfg) => {
-            let (shared, report) =
-                SharedState::with_persistence(&cfg, pcfg).map_err(CliError::Serve)?;
-            eprintln!(
-                "serve: cache-path {}: {}",
-                pcfg.dir.display(),
-                report.summary()
-            );
-            for refused in &report.refused {
+        Some(dir) => {
+            let (shared, report) = SharedState::with_persistence(&cfg, std::path::Path::new(dir))
+                .map_err(CliError::Serve)?;
+            eprintln!("serve: cache-path {dir}: {}", report.summary());
+            if let Some(refused) = &report.refused {
                 eprintln!("serve: warning: refused {refused}");
             }
             for warning in &report.warnings {
@@ -957,8 +947,9 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
 
 /// Compacts the persisted cache one last time on the way out (both the
 /// EOF and the drained-SIGTERM exit paths go through here). A failure is
-/// a warning, not an exit code: the journal already holds everything the
-/// snapshot would, so the next start recovers regardless.
+/// a warning, not an exit code: the log already holds every insert and
+/// the tmp-then-rename rewrite never damages it, so the next start
+/// recovers regardless.
 fn finish_persistence(shared: &cvliw::serve::SharedState) {
     if let Some(reason) = shared.persist_dead_reason() {
         eprintln!("serve: warning: persistence stopped mid-run: {reason}");
@@ -1028,7 +1019,6 @@ fn cmd_client(args: &Args) -> Result<(), CliError> {
         "cache-entries",
         "cache-mb",
         "cache-path",
-        "snapshot-every",
         "deadline-ms",
         "sessions",
         "max-inflight",
@@ -1109,10 +1099,11 @@ fn cmd_client(_args: &Args) -> Result<(), CliError> {
 }
 
 /// `cvliw cache verify <dir>`: a pure read-only audit of a persisted
-/// cache directory. Prints one line per file plus one line per damaged
-/// record (with its byte offset), and exits nonzero on any damage.
+/// cache directory. Prints the log's verdict plus one line per damaged
+/// record (with its byte offset), and exits nonzero on any damage or
+/// when `<dir>` is not an existing directory.
 fn cmd_cache(args: &Args) -> Result<(), CliError> {
-    use cvliw::serve::verify_dir;
+    use cvliw::serve::{persist::LOG_FILE, verify_dir};
 
     let dir = match args.positional.as_slice() {
         [verb, dir] if verb == "verify" => dir,
@@ -1122,39 +1113,37 @@ fn cmd_cache(args: &Args) -> Result<(), CliError> {
             )))
         }
     };
-    let report = verify_dir(std::path::Path::new(dir)).map_err(CliError::Serve)?;
-    for file in &report.files {
-        if !file.present {
-            println!("{}: absent (clean cold start)", file.name);
-            continue;
-        }
-        if let Some(why) = &file.refused {
-            println!("{}: REFUSED: {why}", file.name);
-            continue;
-        }
-        let verdict = if file.issues.is_empty() {
+    let report = verify_dir(std::path::Path::new(dir)).map_err(|source| CliError::Io {
+        path: dir.to_string(),
+        source,
+    })?;
+    if !report.present {
+        println!("{LOG_FILE}: absent (clean cold start)");
+    } else if let Some(why) = &report.refused {
+        println!("{LOG_FILE}: REFUSED: {why}");
+    } else {
+        let verdict = if report.issues.is_empty() {
             "ok"
         } else {
             "DAMAGED"
         };
         println!(
-            "{}: {verdict}: {} verified record{}",
-            file.name,
-            file.records,
-            if file.records == 1 { "" } else { "s" }
+            "{LOG_FILE}: {verdict}: {} verified record{}",
+            report.records,
+            if report.records == 1 { "" } else { "s" }
         );
-        for issue in &file.issues {
+        for issue in &report.issues {
             println!(
-                "{}: record #{} at byte {}: {}",
-                file.name, issue.record, issue.offset, issue.detail
+                "{LOG_FILE}: record #{} at byte {}: {}",
+                issue.record, issue.offset, issue.detail
             );
         }
     }
     if report.clean() {
         println!(
             "clean: {} record{} verified",
-            report.records(),
-            if report.records() == 1 { "" } else { "s" }
+            report.records,
+            if report.records == 1 { "" } else { "s" }
         );
         Ok(())
     } else {

@@ -12,11 +12,11 @@
 //! already drains cleanly.
 //!
 //! When the daemon persists its cache (`--cache-path`), both graceful
-//! exits funnel through the same post-drain epilogue in `cmd_serve`: a
-//! final compacted snapshot is written (tmp + fsync + atomic rename)
-//! after the accept loop returns, so a SIGTERM'd daemon restarts warm
-//! without replaying a long journal. A SIGKILL skips the epilogue by
-//! definition — that is what the journal is for.
+//! exits funnel through the same post-drain epilogue in `cmd_serve`: the
+//! log is compacted one last time (tmp + fsync + atomic rename) after
+//! the accept loop returns, so a SIGTERM'd daemon restarts warm from
+//! exactly its live entries. A SIGKILL skips the epilogue by definition
+//! — the per-insert appends are what survive it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;

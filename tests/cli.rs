@@ -616,11 +616,29 @@ fn cache_path_with_a_disabled_cache_is_a_usage_error() {
     assert!(stderr(&out).contains("contradicts"), "{}", stderr(&out));
     assert!(!dir.exists(), "a refused configuration must create nothing");
 
-    // --snapshot-every is meaningless without --cache-path.
+    // An empty --cache-path would persist into the working directory.
+    let cwd = std::env::temp_dir().join(format!("cvliw-cli-empty-path-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_cvliw"))
+        .args(["serve", "--cache-path", ""])
+        .current_dir(&cwd)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("--cache-path"), "{}", stderr(&out));
+    assert_eq!(
+        std::fs::read_dir(&cwd).unwrap().count(),
+        0,
+        "an empty --cache-path must create nothing"
+    );
+    let _ = std::fs::remove_dir_all(&cwd);
+
+    // The compaction cadence derives from --cache-entries: no knob.
     let out = cvliw(&["serve", "--snapshot-every", "16"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(
-        stderr(&out).contains("only meaningful with --cache-path"),
+        stderr(&out).contains("unknown option --snapshot-every"),
         "{}",
         stderr(&out)
     );
@@ -643,6 +661,11 @@ fn serve_persists_across_restarts_and_cache_verify_audits_the_directory() {
         "{}",
         stderr(&out)
     );
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["cache.bin"], "the directory holds only the log");
 
     // Life 2: the same request is a cache hit served from disk.
     let req = format!("{COMPILE_REQ}{{\"id\": 2, \"op\": \"stats\"}}\n");
@@ -667,11 +690,11 @@ fn serve_persists_across_restarts_and_cache_verify_audits_the_directory() {
     assert!(stdout(&out).contains("clean"), "{}", stdout(&out));
 
     // Flip one payload byte: verify must fail with a located diagnostic.
-    let snap = dir.join("snapshot.bin");
-    let mut bytes = std::fs::read(&snap).unwrap();
+    let log = dir.join("cache.bin");
+    let mut bytes = std::fs::read(&log).unwrap();
     let at = bytes.len() - 4;
     bytes[at] ^= 0x01;
-    std::fs::write(&snap, &bytes).unwrap();
+    std::fs::write(&log, &bytes).unwrap();
     let out = cvliw(&["cache", "verify", dir_s]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(stdout(&out).contains("at byte"), "{}", stdout(&out));
@@ -681,8 +704,8 @@ fn serve_persists_across_restarts_and_cache_verify_audits_the_directory() {
         stderr(&out)
     );
 
-    // The daemon recovers anyway: corrupt snapshot frames are
-    // quarantined and the journal (or a recompile) fills the gap.
+    // The daemon recovers anyway: the corrupt frame is quarantined and
+    // a recompile fills the gap.
     let out = serve_piped(
         &["serve", "--jobs", "1", "--cache-path", dir_s],
         COMPILE_REQ,
@@ -722,9 +745,30 @@ fn cache_and_client_usage_errors() {
         "{}",
         stderr(&out)
     );
+}
 
-    // An absent directory is a clean cold start, not an error.
+#[test]
+fn cache_verify_of_a_missing_directory_fails_naming_the_path() {
+    // A mistyped path must not pass the audit as a clean cold start.
     let out = cvliw(&["cache", "verify", "/nonexistent-cvliw-cache"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("/nonexistent-cvliw-cache"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!stdout(&out).contains("clean"), "{}", stdout(&out));
+
+    // An existing, empty directory is a clean cold start.
+    let dir = std::env::temp_dir().join(format!("cvliw-cli-empty-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = cvliw(&["cache", "verify", dir.to_str().unwrap()]);
     assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("absent"), "{}", stdout(&out));
+    assert!(
+        stdout(&out).contains("absent (clean cold start)"),
+        "{}",
+        stdout(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
