@@ -10,7 +10,7 @@ use cvliw_ddg::Ddg;
 use cvliw_machine::MachineConfig;
 use cvliw_partition::{
     partition_loop_scratch, partition_loop_variant, refine_existing_cached,
-    score_partition_scratch, Partition, PartitionScore, RefineCache, RefineScratch,
+    score_partition_scratch, Partition, PartitionScore, RefineCache, RefineCounters, RefineScratch,
 };
 use cvliw_sched::{
     schedule_with_scratch, Assignment, IiCause, LoopAnalysis, OrderStrategy, SchedScratch,
@@ -434,14 +434,16 @@ impl CompileScratch {
     /// Readies a recycled scratch for a *different* loop: invalidates the
     /// graph-bound [`RefineCache`] (two graphs can share a node count, so
     /// its shape check alone cannot catch the swap), zeroes the stage
-    /// clocks, and replaces the [`CancelToken`] so a deadline armed
-    /// against the previous loop's context cannot leak into this one.
+    /// clocks and the refinement counters, and replaces the
+    /// [`CancelToken`] so a deadline armed against the previous loop's
+    /// context cannot leak into this one.
     /// Everything else is either graph-agnostic ([`RefineScratch`], the
     /// scheduler buffers) or fingerprint-guarded (the engine's anchors)
     /// and keeps its allocations — which is the whole point.
     fn reset_for_new_loop(&mut self) {
         self.refine_cache.invalidate();
         self.stage_nanos = [0; 4];
+        *self.refine.counters_mut() = RefineCounters::default();
         self.cancel = CancelToken::new();
     }
 }
@@ -596,6 +598,16 @@ impl CompileContext {
         self.scratch.borrow().stage_nanos
     }
 
+    /// Partition-refinement work counters across every compilation run
+    /// through this context, raced seed lanes included. Like
+    /// [`CompileContext::stage_nanos`] they travel with the scratch and are
+    /// zeroed at the next hand-over; unlike the clocks they are a pure
+    /// function of the inputs.
+    #[must_use]
+    pub fn refine_counters(&self) -> RefineCounters {
+        self.scratch.borrow().refine.counters()
+    }
+
     /// The memoized `partition_loop` result at the loop's MII (racing
     /// `refine_seeds` perturbed variants when configured).
     fn initial_partition(
@@ -607,9 +619,10 @@ impl CompileContext {
         self.initial_partition.get_or_init(|| {
             let mii = self.analysis.mii();
             if self.refine_seeds > 1 {
-                let (seed, raced_nanos) =
+                let (seed, raced_nanos, raced_counters) =
                     race_seed_partitions(ddg, machine, mii, &self.analysis, self.refine_seeds);
                 scratch.stage_nanos[Stage::Partition as usize] += raced_nanos;
+                scratch.refine.counters_mut().add(&raced_counters);
                 return seed;
             }
             let started = Instant::now();
@@ -712,17 +725,17 @@ impl CompileContext {
 /// the MII on scoped threads and picks the winner by `(score, seed-index)`
 /// — the smallest score wins, ties resolve to the lowest index, so seed 0
 /// (the canonical, unperturbed pipeline) wins unless a perturbation is
-/// strictly better. Returns the winning partition and the **summed**
-/// wall-clock nanoseconds of every raced seed (losers included), which the
-/// caller charges to the partition stage.
+/// strictly better. Returns the winning partition plus the **summed**
+/// wall-clock nanoseconds and refinement counters of every raced seed
+/// (losers included), which the caller charges to the partition stage.
 fn race_seed_partitions(
     ddg: &Ddg,
     machine: &MachineConfig,
     mii: u32,
     analysis: &LoopAnalysis,
     seeds: u32,
-) -> (Partition, u64) {
-    let mut lanes: Vec<Option<(PartitionScore, Partition, u64)>> =
+) -> (Partition, u64, RefineCounters) {
+    let mut lanes: Vec<Option<(PartitionScore, Partition, u64, RefineCounters)>> =
         (0..seeds).map(|_| None).collect();
     std::thread::scope(|scope| {
         for (variant, lane) in lanes.iter_mut().enumerate() {
@@ -739,23 +752,26 @@ fn race_seed_partitions(
                 );
                 let score =
                     score_partition_scratch(ddg, &part, machine, mii, analysis, &mut scratch);
-                *lane = Some((score, part, elapsed_nanos(started)));
+                *lane = Some((score, part, elapsed_nanos(started), scratch.counters()));
             });
         }
     });
-    let raced_nanos = lanes
-        .iter()
-        .map(|l| l.as_ref().expect("every lane ran").2)
-        .sum();
+    let mut raced_nanos = 0;
+    let mut raced_counters = RefineCounters::default();
+    for lane in &lanes {
+        let (_, _, nanos, counters) = lane.as_ref().expect("every lane ran");
+        raced_nanos += nanos;
+        raced_counters.add(counters);
+    }
     let winner = lanes
         .into_iter()
         .map(|l| l.expect("every lane ran"))
         .enumerate()
-        .min_by(|(i, (a, _, _)), (j, (b, _, _))| a.cmp(b).then(i.cmp(j)))
+        .min_by(|(i, (a, ..)), (j, (b, ..))| a.cmp(b).then(i.cmp(j)))
         .expect("at least one seed")
         .1
          .1;
-    (winner, raced_nanos)
+    (winner, raced_nanos, raced_counters)
 }
 
 fn elapsed_nanos(started: Instant) -> u64 {

@@ -75,6 +75,7 @@ mod sched_len;
 mod value_clone;
 
 pub use acyclic::{replicate_for_acyclic_length, schedule_acyclic, AcyclicError, AcyclicSchedule};
+pub use cvliw_partition::RefineCounters;
 pub use cvliw_sched::LoopAnalysis;
 pub use driver::{
     compile_loop, compile_loop_ctx, CancelToken, CauseCounts, CompileContext, CompileError,

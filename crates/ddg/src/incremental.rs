@@ -13,9 +13,13 @@
 //!
 //! The ASAP system `t(v) = max(0, max over in-edges e of t(src(e)) +
 //! lat(e) − ii·dist(e))` has a unique **least** fixpoint whenever it is
-//! satisfiable, and every other fixpoint dominates it. The speculation
-//! algorithm maintains two invariants that pin the result to exactly that
-//! least fixpoint, no matter in which order the worklist drains:
+//! satisfiable, and every other fixpoint dominates it. In the least
+//! fixpoint `t(v)` is the heaviest path weight ending at `v` (paths start
+//! anywhere at weight 0), so every node with `t(v) > 0` has a **tight**
+//! in-edge (`t(src) + w(e) = t(v)`), and every edge on a heaviest path is
+//! tight. The speculation algorithm maintains two invariants that pin the
+//! result to exactly that least fixpoint, no matter in which order the
+//! worklist drains:
 //!
 //! * **Start below.** Raised edges leave the old fixpoint a valid
 //!   under-approximation of the new one (the least fixpoint is monotone in
@@ -30,6 +34,13 @@
 //!   starting ≤ the least fixpoint it can never overshoot, and when the
 //!   worklist drains every constraint holds — the state *is* the least
 //!   fixpoint.
+//!
+//! [`IncrementalAsap::rebuild`] also marks the **critical** nodes — those
+//! with a tight path to a holder of the maximum — and the edges that are
+//! tight into one ([`IncrementalAsap::is_critical_edge`]). A candidate that
+//! lowers none of those edges keeps every holder's heaviest path intact,
+//! so its length cannot drop below the base length; partition refinement
+//! uses that to reject such moves without speculating.
 //!
 //! Divergence (the new system is infeasible because `ii` < RecMII, so no
 //! finite fixpoint exists) can never drain the worklist; a pop budget
@@ -63,6 +74,11 @@ pub struct IncrementalAsap {
     /// every holder of the old maximum was touched.
     max_count: usize,
     feasible: bool,
+    /// Per edge: tight into a critical node in the base state (every
+    /// edge when infeasible).
+    critical_edge: Vec<bool>,
+    /// Per node: on a tight path to a holder of the base maximum.
+    critical: Vec<bool>,
     /// Successor-closed set of nodes reset for a lowered-edge speculation.
     cone: Vec<u32>,
     in_cone: Vec<bool>,
@@ -81,7 +97,8 @@ pub struct IncrementalAsap {
 impl IncrementalAsap {
     /// Rebuilds the fixpoint from scratch for the given edge-latency
     /// vector (aligned with `ddg.edges()` order) — the non-incremental
-    /// baseline every speculation is measured against.
+    /// baseline every speculation is measured against — and marks the
+    /// critical nodes and edges of the new base state.
     pub fn rebuild(&mut self, ddg: &Ddg, ii: u32, edge_lat: &[u32]) {
         debug_assert!(self.undo.is_empty() && !self.swapped_full);
         let n = ddg.node_count();
@@ -103,6 +120,43 @@ impl IncrementalAsap {
         self.in_queue.resize(n, false);
         self.cone.clear();
         self.queue.clear();
+        self.critical_edge.clear();
+        self.critical.clear();
+        self.critical.resize(n, false);
+        if !self.feasible {
+            self.critical_edge.resize(ddg.edge_count(), true);
+            return;
+        }
+        let asap = &self.asap;
+        let tight = |eid: u32| {
+            let e = ddg.edge(eid);
+            asap[e.src.index()] + i64::from(edge_lat[eid as usize])
+                - i64::from(ii) * i64::from(e.distance)
+                == asap[e.dst.index()]
+        };
+
+        // Critical nodes: backwards along tight edges from every holder of
+        // the maximum (`cone` doubles as the search stack).
+        for (v, &t) in asap.iter().enumerate() {
+            if t == self.length {
+                self.critical[v] = true;
+                self.cone.push(v as u32);
+            }
+        }
+        while let Some(v) = self.cone.pop() {
+            for &eid in ddg.in_edge_ids(NodeId::new(v)) {
+                let u = ddg.edge(eid).src.index();
+                if !self.critical[u] && tight(eid) {
+                    self.critical[u] = true;
+                    self.cone.push(u as u32);
+                }
+            }
+        }
+        let critical = &self.critical;
+        self.critical_edge.extend(
+            (0..ddg.edge_count() as u32)
+                .map(|eid| critical[ddg.edge(eid).dst.index()] && tight(eid)),
+        );
     }
 
     /// Whether the maintained base state satisfies all recurrences.
@@ -124,6 +178,23 @@ impl IncrementalAsap {
     #[must_use]
     pub fn asap(&self) -> &[i64] {
         &self.asap
+    }
+
+    /// Whether edge `eid` is tight into a critical node of the base state
+    /// (always true when the base is infeasible). A candidate that lowers
+    /// no such edge cannot end below the base [`IncrementalAsap::length`]:
+    /// every holder of the maximum keeps a heaviest path of unlowered
+    /// edges.
+    #[must_use]
+    pub fn is_critical_edge(&self, eid: u32) -> bool {
+        self.critical_edge[eid as usize]
+    }
+
+    /// Per node: whether it has a tight path to a holder of the base
+    /// maximum (all false when the base is infeasible).
+    #[must_use]
+    pub fn critical(&self) -> &[bool] {
+        &self.critical
     }
 
     /// The nodes whose ASAP value the active speculation changed, as undo

@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use cvliw_replicate::Stage;
+use cvliw_replicate::{RefineCounters, Stage};
 
 use crate::grid::SuiteGrid;
 use crate::runner::{prepare, run_pool, SuiteError};
@@ -75,6 +75,9 @@ pub struct BenchReport {
     pub stage_ms: [f64; 4],
     /// Median per-pair timings, spec-major then program (grid order).
     pub pairs: Vec<PairTiming>,
+    /// Partition-refinement work counters of one measured pass (every pass
+    /// does the same work).
+    pub work: RefineCounters,
     /// The slowest pairs (at most ten), heaviest first, each with its
     /// per-stage split. Ties break toward grid order, so the section is a
     /// pure function of the medians.
@@ -125,18 +128,20 @@ pub fn bench_suite(
     let mut pair_stage_samples: Vec<[Vec<f64>; 4]> = (0..prep.pair_count())
         .map(|_| std::array::from_fn(|_| Vec::with_capacity(runs)))
         .collect();
+    let mut work = RefineCounters::default();
     for _ in 0..runs {
         let started = Instant::now();
-        let (_, pair_nanos, pair_stages) = run_pool(&prep, jobs);
+        let run = run_pool(&prep, jobs);
         run_wall_ms.push(started.elapsed().as_secs_f64() * 1e3);
-        for (samples, nanos) in pair_samples.iter_mut().zip(&pair_nanos) {
+        work = run.work;
+        for (samples, nanos) in pair_samples.iter_mut().zip(&run.pair_nanos) {
             samples.push(*nanos as f64 / 1e6);
         }
         for (stage, samples) in stage_samples.iter_mut().enumerate() {
-            let total: u64 = pair_stages.iter().map(|s| s[stage]).sum();
+            let total: u64 = run.pair_stages.iter().map(|s| s[stage]).sum();
             samples.push(total as f64 / 1e6);
         }
-        for (per_pair, stages) in pair_stage_samples.iter_mut().zip(&pair_stages) {
+        for (per_pair, stages) in pair_stage_samples.iter_mut().zip(&run.pair_stages) {
             for (samples, &nanos) in per_pair.iter_mut().zip(stages.iter()) {
                 samples.push(nanos as f64 / 1e6);
             }
@@ -191,11 +196,27 @@ pub fn bench_suite(
         total_wall_ms,
         cells_per_sec: cells as f64 / (total_wall_ms / 1e3),
         stage_ms,
+        work,
         pairs,
         pairs_top,
         serve: None,
         serve_restart: None,
     })
+}
+
+/// The refinement counters as `(key, value)` rows, in the order the
+/// `work` section of `BENCH_compile.json` and the CLI footer print them.
+#[must_use]
+pub fn work_rows(work: &RefineCounters) -> [(&'static str, u64); 7] {
+    [
+        ("climb_steps", work.climb_steps),
+        ("climb_changed", work.climb_changed),
+        ("accepted", work.accepted),
+        ("candidates", work.candidates),
+        ("speculations", work.speculations),
+        ("critical_skips", work.critical_skips),
+        ("cert_skips", work.cert_skips),
+    ]
 }
 
 /// Renders a [`BenchReport`] as the `BENCH_compile.json` document.
@@ -247,6 +268,14 @@ pub fn emit_bench_json(report: &BenchReport) -> String {
         } else {
             "\n"
         });
+    }
+    // Deterministic work counters: a pure function of the grid, so two
+    // books from the same code agree here exactly.
+    o.push_str("  },\n  \"work\": {\n");
+    let rows = work_rows(&report.work);
+    for (i, (name, value)) in rows.iter().enumerate() {
+        let _ = write!(o, "    \"{name}\": {value}");
+        o.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     // Key naming is deliberate: no key (or key-bearing line) in this
     // section may contain the literal `"spec"` or `"wall_ms"` byte
@@ -396,6 +425,10 @@ mod tests {
         }
         assert!(json.contains("\"pairs\""));
         assert!(json.contains("\"tomcatv\""));
+        assert!(json.contains("\"work\": {"));
+        for (name, value) in work_rows(&report.work) {
+            assert!(json.contains(&format!("\"{name}\": {value}")), "{name}");
+        }
     }
 
     #[test]
@@ -543,5 +576,12 @@ mod tests {
         assert!(report.stage_ms[Stage::Analysis as usize] > 0.0);
         assert!(report.stage_ms[Stage::Partition as usize] > 0.0);
         assert!(report.stage_ms.iter().all(|&ms| ms >= 0.0));
+        // Refinement scores candidates on every multi-cluster loop, and
+        // the counts are a pure function of the grid.
+        assert!(report.work.candidates > 0);
+        assert_eq!(
+            bench_suite(&tiny_grid(), 1, 1, 0).unwrap().work,
+            report.work
+        );
     }
 }

@@ -10,7 +10,8 @@
 
 use cvliw_machine::MachineConfig;
 use cvliw_replicate::{
-    compile_loop, compile_loop_ctx, CompileContext, CompileOptions, CompileScratch, LoopStats, Mode,
+    compile_loop, compile_loop_ctx, CompileContext, CompileOptions, CompileScratch, LoopStats,
+    Mode, RefineCounters,
 };
 use cvliw_sim::IpcAccumulator;
 use cvliw_workloads::{BenchmarkProgram, WorkloadLoop};
@@ -139,15 +140,20 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// The suite's atomic unit of work: one loop of one (machine, program)
 /// pair under every mode of `cells`, on one [`CompileContext`] built over
 /// a recycled [`CompileScratch`]. Returns the per-mode outcome (`None` =
-/// compile failure), the context's per-stage wall clock, and the scratch
-/// for the caller's next unit.
+/// compile failure), the context's per-stage wall clock and refinement
+/// counters, and the scratch for the caller's next unit.
 pub(crate) fn compile_loop_all_modes(
     l: &WorkloadLoop,
     machine: &MachineConfig,
     cells: &[CellSpec],
     refine_seeds: u32,
     scratch: CompileScratch,
-) -> (Vec<Option<LoopStats>>, [u64; 4], CompileScratch) {
+) -> (
+    Vec<Option<LoopStats>>,
+    [u64; 4],
+    RefineCounters,
+    CompileScratch,
+) {
     let ctx =
         CompileContext::new_with_scratch(&l.ddg, machine, scratch).with_refine_seeds(refine_seeds);
     let per_mode = cells
@@ -163,7 +169,8 @@ pub(crate) fn compile_loop_all_modes(
         })
         .collect();
     let stages = ctx.stage_nanos();
-    (per_mode, stages, ctx.into_scratch())
+    let work = ctx.refine_counters();
+    (per_mode, stages, work, ctx.into_scratch())
 }
 
 /// Result of compiling one whole program under one configuration, keeping

@@ -54,7 +54,9 @@ mod report;
 mod runner;
 mod serve_bench;
 
-pub use bench::{bench_suite, emit_bench_json, BenchReport, PairStageTiming, PairTiming};
+pub use bench::{
+    bench_suite, emit_bench_json, work_rows, BenchReport, PairStageTiming, PairTiming,
+};
 pub use cell::{run_program, CellResult, ProgramResult};
 pub use emit::{emit, emit_csv, emit_json, emit_text, Format};
 pub use emit_md::emit_markdown;

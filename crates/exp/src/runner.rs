@@ -18,7 +18,7 @@ use std::time::Instant;
 use cvliw_machine::{MachineConfig, SpecError};
 use cvliw_workloads::{program, program_subset, BenchmarkProgram};
 
-use cvliw_replicate::CompileScratch;
+use cvliw_replicate::{CompileScratch, LoopStats, RefineCounters};
 
 use crate::cell::{compile_loop_all_modes, CellResult};
 use crate::grid::{CellSpec, SuiteGrid};
@@ -209,10 +209,24 @@ pub(crate) fn prepare(grid: &SuiteGrid) -> Result<PreparedSuite, SuiteError> {
     })
 }
 
-/// Runs the worker pool over the grid, returning the per-cell results in
-/// grid order plus each pair's wall-clock nanoseconds and per-stage
-/// nanoseconds (indexed `spec-major × program`; the bench harness reads
-/// them, plain suite runs drop them).
+/// One pass of the worker pool: the per-cell results in grid order plus
+/// each pair's wall-clock and per-stage nanoseconds (indexed `spec-major ×
+/// program`) and the summed refinement counters. The bench harness reads
+/// the measurements; plain suite runs drop them.
+pub(crate) struct PoolRun {
+    pub results: Vec<CellResult>,
+    pub pair_nanos: Vec<u64>,
+    pub pair_stages: Vec<[u64; 4]>,
+    /// Summed over every unit; a pure function of the grid.
+    pub work: RefineCounters,
+}
+
+/// One compiled unit of the loop-granular pool: the per-mode outcomes of
+/// one loop, the context's per-stage clocks and refinement counters, and
+/// the unit's wall time.
+type LoopUnitResult = (Vec<Option<LoopStats>>, [u64; 4], RefineCounters, u64);
+
+/// Runs the worker pool over the grid (see [`PoolRun`]).
 ///
 /// The unit of work is one loop of one (machine, program) pair, so the
 /// heavy su2cor/fpppp pairs do not serialize a whole worker each and
@@ -223,14 +237,7 @@ pub(crate) fn prepare(grid: &SuiteGrid) -> Result<PreparedSuite, SuiteError> {
 /// time, the same convention seed racing uses — so the per-stage
 /// breakdown still sums to it. Each worker recycles one [`CompileScratch`]
 /// across all the units it runs.
-/// One compiled unit of the loop-granular pool: the per-mode outcomes of
-/// one loop, the context's per-stage clocks, and the unit's wall time.
-type LoopUnitResult = (Vec<Option<cvliw_replicate::LoopStats>>, [u64; 4], u64);
-
-pub(crate) fn run_pool(
-    prep: &PreparedSuite,
-    jobs: usize,
-) -> (Vec<CellResult>, Vec<u64>, Vec<[u64; 4]>) {
+pub(crate) fn run_pool(prep: &PreparedSuite, jobs: usize) -> PoolRun {
     let n_pairs = prep.pair_count();
 
     // Flat (pair, loop) units in dispatch order: the heaviest pair's loops
@@ -269,7 +276,7 @@ pub(crate) fn run_pool(
                     let (k, li) = units[u];
                     let (s, j) = (k / prep.n_programs, k % prep.n_programs);
                     let started = Instant::now();
-                    let (per_mode, stages, recycled) = compile_loop_all_modes(
+                    let (per_mode, stages, work, recycled) = compile_loop_all_modes(
                         &prep.programs[j].loops[li],
                         &prep.machines[s],
                         &pair_cells[k],
@@ -279,7 +286,7 @@ pub(crate) fn run_pool(
                     scratch = recycled;
                     let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     slots[u]
-                        .set((per_mode, stages, nanos))
+                        .set((per_mode, stages, work, nanos))
                         .expect("each unit index is claimed exactly once");
                 }
             });
@@ -292,9 +299,11 @@ pub(crate) fn run_pool(
     let mut results: Vec<CellResult> = prep.cells.iter().map(CellResult::empty).collect();
     let mut nanos = vec![0u64; n_pairs];
     let mut stages = vec![[0u64; 4]; n_pairs];
+    let mut work = RefineCounters::default();
     for (slot, &(k, li)) in slots.into_iter().zip(units.iter()) {
-        let (per_mode, unit_stages, unit_nanos) =
+        let (per_mode, unit_stages, unit_work, unit_nanos) =
             slot.into_inner().expect("pool completed every unit");
+        work.add(&unit_work);
         let (s, j) = (k / prep.n_programs, k % prep.n_programs);
         let l = &prep.programs[j].loops[li];
         for (m, stats) in per_mode.iter().enumerate() {
@@ -312,7 +321,12 @@ pub(crate) fn run_pool(
             *total += stage;
         }
     }
-    (results, nanos, stages)
+    PoolRun {
+        results,
+        pair_nanos: nanos,
+        pair_stages: stages,
+        work,
+    }
 }
 
 /// Runs every cell of `grid` on a pool of `jobs` worker threads and
@@ -327,7 +341,7 @@ pub(crate) fn run_pool(
 /// or the grid is empty — all validated before any worker starts.
 pub fn run_suite(grid: &SuiteGrid, jobs: usize) -> Result<SuiteReport, SuiteError> {
     let prep = prepare(grid)?;
-    let (results, _timings, _stages) = run_pool(&prep, jobs);
+    let results = run_pool(&prep, jobs).results;
     Ok(SuiteReport::new(grid, results, &prep.programs))
 }
 

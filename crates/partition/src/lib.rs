@@ -16,9 +16,9 @@
 //!    macro-nodes are greedily moved between clusters whenever a
 //!    pseudo-schedule-based score ([`PartitionScore`]) improves.
 //!
-//! [`partition_loop`] bundles the whole pipeline; [`refine_existing`] is
-//! the "Refine Partition" box of the paper's Figure 2, used by the driver
-//! each time the II is bumped.
+//! [`partition_loop`] bundles the whole pipeline; [`refine_existing_cached`]
+//! is the "Refine Partition" box of the paper's Figure 2, used by the
+//! driver each time the II is bumped.
 //!
 //! # Example
 //!
@@ -54,9 +54,8 @@ pub use coarsen::{coarsen, coarsen_from_weights, CoarseLevel, Hierarchy};
 pub use matching::greedy_matching;
 pub use partition::Partition;
 pub use refine::{
-    refine_existing, refine_existing_cached, refine_existing_oracle, refine_existing_trace,
-    score_partition, score_partition_scratch, PartitionScore, RefineCache, RefineMove,
-    RefineScratch,
+    refine_existing_cached, refine_existing_oracle, refine_existing_trace, score_partition_scratch,
+    PartitionScore, RefineCache, RefineCounters, RefineMove, RefineScratch,
 };
 pub use weights::edge_weights;
 

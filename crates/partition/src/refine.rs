@@ -1,15 +1,21 @@
 //! Pseudo-schedule-guided refinement of a partition (reference [2]).
 //!
 //! Refinement is the compilation driver's hottest loop: every II bump
-//! re-scores hundreds of candidate single-node moves. Three layers keep
+//! re-scores hundreds of candidate single-node moves. Four layers keep
 //! that cheap without changing a single accepted move:
 //!
 //! * **Lazy lexicographic rejection**: a candidate dies as soon as a cheap
 //!   prefix of the score key — capacity overflow and bus overflow, both
-//!   computed exactly from O(degree) deltas — already compares worse than
-//!   the incumbent. The lexicographic comparison is decided by the first
+//!   computed exactly from O(degree) deltas, then the communication count
+//!   against a feasible incumbent — already compares worse than the
+//!   incumbent. The lexicographic comparison is decided by the first
 //!   differing component, so the verdict equals the full score's.
-//! * **Incremental scoring** for the survivors: a move only changes the
+//! * **Critical-path rejection**: a survivor that ties the cheap prefix
+//!   and lowers no edge tight into a critical node of the current ASAP
+//!   fixpoint cannot shorten the estimated length (every holder of the
+//!   maximum keeps its heaviest path), so the incumbent's length already
+//!   decides it without a speculation.
+//! * **Incremental scoring** for the rest: a move only changes the
 //!   latencies of the data edges incident to the moved group, so the
 //!   recurrence check, the estimated length and the register pressure are
 //!   re-derived from an incrementally maintained ASAP fixpoint
@@ -23,11 +29,15 @@
 //!   counters; any accepted move bumps the versions of its two clusters,
 //!   so a stale entry can never validate. The counts are latency-free,
 //!   hence II-independent: entries filled at one II keep hitting across
-//!   the whole II climb.
+//!   the whole II climb. On top of it sits a **no-op certificate**: a node
+//!   whose every move has a cached positive delta is skipped outright
+//!   while the incumbent is one that such moves cannot beat at any II.
 //!
-//! All three layers are observationally pure: `refine_existing_cached`
-//! is bit-identical to `refine_existing`, pinned by debug assertions and
-//! the differential oracle in `tests/refine_incremental_props.rs`.
+//! All layers are observationally pure: `refine_existing_cached` accepts
+//! exactly the moves of `refine_existing_oracle`, which full-rescores
+//! every candidate, pinned by debug assertions and the differential
+//! oracle in `tests/refine_incremental_props.rs`. [`RefineCounters`]
+//! shows how often each cut fired.
 
 use cvliw_ddg::{Ddg, IncrementalAsap, NodeId, OpClass};
 use cvliw_machine::MachineConfig;
@@ -66,6 +76,43 @@ impl PartitionScore {
     #[must_use]
     pub fn est_length(&self) -> i64 {
         self.key.5
+    }
+}
+
+/// Work counters of partition refinement, accumulated by a
+/// [`RefineScratch`] across every call it serves. They count algorithmic
+/// work, so they are a pure function of the inputs: the same grid gives
+/// the same counts on any machine and at any worker count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RefineCounters {
+    /// Refinements of an existing partition (the driver's II-climb steps).
+    pub climb_steps: u64,
+    /// Climb steps that accepted at least one move.
+    pub climb_changed: u64,
+    /// Accepted moves, at every level and in every call.
+    pub accepted: u64,
+    /// `(group, target)` candidates scored.
+    pub candidates: u64,
+    /// Candidates that ran an incremental-ASAP speculation.
+    pub speculations: u64,
+    /// Speculations avoided because the candidate lowers no edge that is
+    /// tight into a critical node, so it cannot shorten the schedule.
+    pub critical_skips: u64,
+    /// Groups skipped because every move of theirs has a cached positive
+    /// communication delta against an incumbent it then cannot beat.
+    pub cert_skips: u64,
+}
+
+impl RefineCounters {
+    /// Adds every counter of `other` into `self`.
+    pub fn add(&mut self, other: &RefineCounters) {
+        self.climb_steps += other.climb_steps;
+        self.climb_changed += other.climb_changed;
+        self.accepted += other.accepted;
+        self.candidates += other.candidates;
+        self.speculations += other.speculations;
+        self.critical_skips += other.critical_skips;
+        self.cert_skips += other.cert_skips;
     }
 }
 
@@ -111,6 +158,8 @@ pub struct RefineScratch {
     /// follow-up `refine_level` on the *same* (graph, II, partition) state
     /// can skip the entry recount (see [`LevelOpts::reuse_base`]).
     base_ncoms: u32,
+    /// Work counters, accumulated across every call this scratch serves.
+    counters: RefineCounters,
 }
 
 impl Default for RefineScratch {
@@ -132,11 +181,23 @@ impl Default for RefineScratch {
             est_base: Vec::new(),
             est_tmp: Vec::new(),
             base_ncoms: 0,
+            counters: RefineCounters::default(),
         }
     }
 }
 
 impl RefineScratch {
+    /// The work counters accumulated since the last reset.
+    #[must_use]
+    pub fn counters(&self) -> RefineCounters {
+        self.counters
+    }
+
+    /// The work counters, for zeroing or folding in another scratch's.
+    pub fn counters_mut(&mut self) -> &mut RefineCounters {
+        &mut self.counters
+    }
+
     /// Rebuilds the incremental move-speculation base state — the current
     /// partition's comm-adjusted latencies, ASAP fixpoint and per-producer
     /// register costs. Called at `refine_level` entry and after every
@@ -200,30 +261,9 @@ fn node_reg_cost(ddg: &Ddg, ii: u32, analysis: &LoopAnalysis, asap: &[i64], n: N
     span.div_ceil(u64::from(ii))
 }
 
-/// Scores a partition with a pseudo-schedule (see [`PartitionScore`]).
-///
-/// One-shot convenience: computes a [`LoopAnalysis`] internally. Hot paths
-/// use [`score_partition_scratch`].
-#[must_use]
-pub fn score_partition(
-    ddg: &Ddg,
-    part: &Partition,
-    machine: &MachineConfig,
-    ii: u32,
-) -> PartitionScore {
-    let analysis = LoopAnalysis::new(ddg, machine);
-    score_partition_scratch(
-        ddg,
-        part,
-        machine,
-        ii,
-        &analysis,
-        &mut RefineScratch::default(),
-    )
-}
-
-/// [`score_partition`] on a cached [`LoopAnalysis`] and a reusable
-/// [`RefineScratch`] — allocation-free and bit-identical.
+/// Scores a partition with a full pseudo-schedule (see
+/// [`PartitionScore`]) on a cached [`LoopAnalysis`] and a reusable
+/// [`RefineScratch`] — allocation-free.
 #[must_use]
 pub fn score_partition_scratch(
     ddg: &Ddg,
@@ -300,6 +340,10 @@ pub struct RefineCache {
     version: Vec<u32>,
     /// Partition snapshot the versions are relative to.
     last_part: Vec<u8>,
+    /// Per node: every move of it has a valid entry with a positive
+    /// communication delta. Cleared whenever any version moves, so a set
+    /// bit always speaks for the current partition.
+    cert: Vec<bool>,
     primed: bool,
 }
 
@@ -340,6 +384,8 @@ impl RefineCache {
             self.version.resize(clusters as usize, 0);
             self.last_part.clear();
             self.last_part.extend_from_slice(part);
+            self.cert.clear();
+            self.cert.resize(part.len(), false);
             self.primed = true;
         } else {
             self.observe(part);
@@ -349,13 +395,27 @@ impl RefineCache {
     /// Folds every cluster change between the snapshot and `part` into the
     /// version counters. Called on entry and after each accepted move.
     fn observe(&mut self, part: &[u8]) {
+        let mut moved = false;
         for (&new, old) in part.iter().zip(self.last_part.iter_mut()) {
             if *old != new {
                 self.version[*old as usize] += 1;
                 self.version[new as usize] += 1;
                 *old = new;
+                moved = true;
             }
         }
+        if moved {
+            self.cert.fill(false);
+        }
+    }
+
+    /// Records whether every move of `node` away from `current` has a
+    /// valid entry with a positive communication delta.
+    fn certify(&mut self, node: usize, current: u8) {
+        self.cert[node] = (0..self.clusters).filter(|&t| t != current).all(|t| {
+            self.get(node, t)
+                .is_some_and(|(before, after)| after > before)
+        });
     }
 
     fn vsum_of(&self, mask: u32) -> u64 {
@@ -445,24 +505,10 @@ pub(crate) fn refine_hierarchy(
 }
 
 /// The "Refine Partition" box of the paper's Figure 2: refinement at node
-/// granularity only, applied whenever the II increases.
-///
-/// One-shot convenience: computes a [`LoopAnalysis`] internally. The
-/// driver refines through [`refine_existing_cached`].
-#[must_use]
-pub fn refine_existing(ddg: &Ddg, machine: &MachineConfig, ii: u32, part: Partition) -> Partition {
-    if machine.clusters() == 1 {
-        return part;
-    }
-    let analysis = LoopAnalysis::new(ddg, machine);
-    let mut scratch = RefineScratch::default();
-    refine_existing_driver(ddg, machine, ii, part, &analysis, &mut scratch, None, None)
-}
-
-/// [`refine_existing`] on a cached [`LoopAnalysis`], a persistent
-/// [`RefineScratch`] and a persistent [`RefineCache`] — the driver's per-II
-/// entry point. The cache must only ever see this one `(graph, machine)`
-/// pair. Bit-identical to [`refine_existing`].
+/// granularity only, applied whenever the II increases. Runs on a cached
+/// [`LoopAnalysis`], a persistent [`RefineScratch`] and a persistent
+/// [`RefineCache`] — the driver's per-II entry point. The cache must only
+/// ever see this one `(graph, machine)` pair.
 #[must_use]
 pub fn refine_existing_cached(
     ddg: &Ddg,
@@ -533,9 +579,24 @@ fn refine_existing_driver(
     if let Some(cache) = opts.cache.as_deref_mut() {
         cache.prepare(part.as_slice(), machine.clusters());
     }
-    refine_level(
+    let accepted = scratch.counters.accepted;
+    let part = refine_level(
         ddg, machine, ii, &identity, part, analysis, scratch, &mut opts,
-    )
+    );
+    scratch.counters.climb_steps += 1;
+    scratch.counters.climb_changed += u64::from(scratch.counters.accepted > accepted);
+    part
+}
+
+/// Whether `incumbent` beats every move with a positive communication
+/// delta: with zero capacity overflow, such a move can at best tie on
+/// capacity, and then it either raises a nonzero bus overflow or — when
+/// bus, recurrences and registers are all clear — ties them at best and
+/// loses on the communication count. The delta itself is II-free, so a
+/// cached one serves every II of the climb.
+fn certificate_applies(incumbent: &PartitionScore) -> bool {
+    let (cap, bus, rec, reg, ..) = incumbent.key;
+    cap == 0 && (bus > 0 || (rec == 0 && reg == 0))
 }
 
 /// A from-scratch reference implementation of [`refine_existing_cached`]:
@@ -724,6 +785,30 @@ fn refine_level(
             // The move-delta cache only keys singleton groups: multilevel
             // macro representatives alias across hierarchy levels.
             let singleton = group.len() == 1;
+            // No-op certificate: a certified group has only moves that add
+            // communications, and those lose against this incumbent.
+            if singleton
+                && certificate_applies(&best_score)
+                && opts.cache.as_deref().is_some_and(|c| c.cert[group[0]])
+            {
+                for target in (0..machine.clusters()).filter(|&t| t != current) {
+                    debug_check_rejection(
+                        ddg,
+                        machine,
+                        ii,
+                        &mut part,
+                        analysis,
+                        scratch,
+                        group,
+                        current,
+                        target,
+                        &best_score,
+                        &None,
+                    );
+                }
+                scratch.counters.cert_skips += 1;
+                continue;
+            }
 
             // Group-invariant delta ingredients, shared by every target:
             // membership marks, the affected-producer list, the group's
@@ -770,6 +855,7 @@ fn refine_level(
                 if target == current {
                     continue;
                 }
+                scratch.counters.candidates += 1;
                 let thresh = best_move.as_ref().map_or(&best_score, |(_, s)| s);
                 // Lazy lexicographic rejection on the exact cheap prefix:
                 // (capacity, bus). `thresh` is what the full score would
@@ -917,7 +1003,11 @@ fn refine_level(
             for &i in group {
                 scratch.in_group[i] = false;
             }
+            if let (true, None, Some(cache)) = (singleton, &best_move, opts.cache.as_deref_mut()) {
+                cache.certify(group[0], current);
+            }
             if let Some((target, score)) = best_move {
+                scratch.counters.accepted += 1;
                 for &i in group {
                     part.set_cluster(NodeId::new(i as u32), target);
                 }
@@ -1026,6 +1116,7 @@ fn speculate_move_score(
         node_regs,
         est_base,
         est_tmp,
+        counters,
         ..
     } = scratch;
 
@@ -1035,6 +1126,7 @@ fn speculate_move_score(
     edge_changes.clear();
     raised.clear();
     lowered.clear();
+    let mut lowers_critical = false;
     let base = analysis.edge_lat();
     let uniform = machine.uniform_transfer_latency();
     {
@@ -1066,6 +1158,7 @@ fn speculate_move_score(
                     raised.push(e.dst);
                 } else {
                     lowered.push(e.dst);
+                    lowers_critical |= inc.is_critical_edge(eid);
                 }
             }
         };
@@ -1082,16 +1175,18 @@ fn speculate_move_score(
         }
     }
 
-    // 2. Monotonicity rejection: a move that only *raises* latencies (it
-    // pulls the group away from every neighbour; nothing gets closer) can
-    // only grow the least fixpoint, so its length is at least the base
-    // length — and an infeasible base or candidate stays / becomes
-    // infeasible, which is worse still. Against a recurrence- and
-    // register-feasible incumbent that ties the whole cheap prefix, the
-    // candidate can therefore only win on imbalance, and only when the
-    // incumbent's length already equals the base length. Everything here
-    // is exact; no speculation is needed to reject.
-    if lowered.is_empty()
+    // 2. Critical-path rejection: a move that lowers no edge tight into a
+    // critical node leaves every holder of the base maximum a heaviest
+    // path whose edges kept or raised their latency, so the candidate's
+    // length is at least the base length — and an infeasible base or
+    // candidate stays / becomes infeasible, which is worse still (an
+    // infeasible base marks every edge critical, so only raise-only moves
+    // pass there). Against a recurrence- and register-feasible incumbent
+    // that ties the whole cheap prefix, the candidate can therefore only
+    // win on imbalance, and only when the incumbent's length already
+    // equals the base length. Everything here is exact; no speculation is
+    // needed to reject.
+    if !lowers_critical
         && cap == thresh.key.0
         && bus == thresh.key.1
         && thresh.key.2 == 0
@@ -1109,11 +1204,13 @@ fn speculate_move_score(
             for &(eid, old) in edge_changes.iter() {
                 cur_edge_lat[eid as usize] = old;
             }
+            counters.critical_skips += u64::from(!lowered.is_empty());
             return None;
         }
     }
 
     // 3. Speculate the ASAP fixpoint through the affected cone.
+    counters.speculations += 1;
     let (rec, est, reg) = match inc.speculate(ddg, ii, cur_edge_lat, raised, lowered) {
         // Infeasible candidate: the full score reports reg 0 and max est.
         None => (1u8, i64::MAX, 0u32),
@@ -1270,6 +1367,27 @@ mod tests {
         MachineConfig::from_spec(spec).unwrap()
     }
 
+    fn score_partition(ddg: &Ddg, part: &Partition, m: &MachineConfig, ii: u32) -> PartitionScore {
+        let analysis = LoopAnalysis::new(ddg, m);
+        score_partition_scratch(ddg, part, m, ii, &analysis, &mut RefineScratch::default())
+    }
+
+    /// One refinement on fresh state: no cache, no carried scratch.
+    fn refine_existing(ddg: &Ddg, m: &MachineConfig, ii: u32, part: Partition) -> Partition {
+        let analysis = LoopAnalysis::new(ddg, m);
+        let mut scratch = RefineScratch::default();
+        refine_existing_trace(
+            ddg,
+            m,
+            ii,
+            part,
+            &analysis,
+            &mut scratch,
+            None,
+            &mut Vec::new(),
+        )
+    }
+
     /// Two independent chains that obviously belong in separate clusters.
     fn two_chains() -> Ddg {
         let mut b = Ddg::builder();
@@ -1415,5 +1533,71 @@ mod tests {
             assert_eq!(got, want, "ii={ii}");
             assert_eq!(trace, want_moves, "ii={ii}");
         }
+    }
+
+    /// Every partition of a small graph, at several IIs: whenever the
+    /// no-op certificate applies to the incumbent, every single-node move
+    /// that adds communications scores worse.
+    #[test]
+    fn certificate_rejects_only_losing_moves() {
+        let mut b = Ddg::builder();
+        let x = b.add_node(OpKind::Load);
+        let y = b.add_node(OpKind::FpAdd);
+        let z = b.add_node(OpKind::FpMul);
+        let w = b.add_node(OpKind::Store);
+        b.data(x, y).data(y, z).data_dist(z, y, 1).data(z, w);
+        let recurrence = b.build().unwrap();
+        let mut applied = 0;
+        // Two registers per cluster make register overflow reachable.
+        let cases = [
+            (two_chains(), "2c1b2l64r"),
+            (two_chains(), "2c1b2l2r"),
+            (recurrence.clone(), "4c1b2l64r"),
+            (recurrence, "2c1b2l2r"),
+        ];
+        for (ddg, spec) in cases {
+            let m = machine(spec);
+            let (n, k) = (ddg.node_count(), u32::from(m.clusters()));
+            for code in 0..k.pow(n as u32) {
+                let assign: Vec<u8> = (0..n as u32).map(|i| (code / k.pow(i) % k) as u8).collect();
+                let part = Partition::from_vec(assign);
+                for ii in 1..8 {
+                    let incumbent = score_partition(&ddg, &part, &m, ii);
+                    if !certificate_applies(&incumbent) {
+                        continue;
+                    }
+                    applied += 1;
+                    for node in ddg.node_ids() {
+                        for target in (0..m.clusters()).filter(|&t| t != part.cluster_of(node)) {
+                            let mut moved = part.clone();
+                            moved.set_cluster(node, target);
+                            if moved.comm_count(&ddg) > part.comm_count(&ddg) {
+                                assert!(score_partition(&ddg, &moved, &m, ii) > incumbent);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(applied > 0);
+    }
+
+    /// The certificate's conditions are needed: with capacity overflow, a
+    /// move that adds a communication can still win.
+    #[test]
+    fn certificate_stays_off_while_capacity_overflows() {
+        let mut b = Ddg::builder();
+        let l0 = b.add_node(OpKind::Load);
+        let l1 = b.add_node(OpKind::Load);
+        let add = b.add_node(OpKind::FpAdd);
+        b.data(l0, add).data(l1, add);
+        let ddg = b.build().unwrap();
+        let m = machine("4c1b2l64r"); // one memory port per cluster
+        let packed = Partition::from_vec(vec![0, 0, 0]);
+        let spread = Partition::from_vec(vec![0, 1, 0]);
+        assert!(spread.comm_count(&ddg) > packed.comm_count(&ddg));
+        let incumbent = score_partition(&ddg, &packed, &m, 1);
+        assert!(score_partition(&ddg, &spread, &m, 1) < incumbent);
+        assert!(!certificate_applies(&incumbent));
     }
 }

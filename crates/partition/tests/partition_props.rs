@@ -4,8 +4,10 @@
 use cvliw_ddg::{Ddg, DepKind, OpKind};
 use cvliw_machine::MachineConfig;
 use cvliw_partition::{
-    coarsen, greedy_matching, partition_loop, refine_existing, score_partition, Partition,
+    coarsen, greedy_matching, partition_loop, refine_existing_trace, score_partition_scratch,
+    Partition, RefineScratch,
 };
+use cvliw_sched::LoopAnalysis;
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = OpKind> {
@@ -124,9 +126,13 @@ proptest! {
             })
             .collect();
         let initial = Partition::from_vec(initial);
-        let before = score_partition(&ddg, &initial, &machine, ii);
-        let refined = refine_existing(&ddg, &machine, ii, initial);
-        let after = score_partition(&ddg, &refined, &machine, ii);
+        let analysis = LoopAnalysis::new(&ddg, &machine);
+        let mut scratch = RefineScratch::default();
+        let before = score_partition_scratch(&ddg, &initial, &machine, ii, &analysis, &mut scratch);
+        let refined = refine_existing_trace(
+            &ddg, &machine, ii, initial, &analysis, &mut scratch, None, &mut Vec::new(),
+        );
+        let after = score_partition_scratch(&ddg, &refined, &machine, ii, &analysis, &mut scratch);
         prop_assert!(after <= before, "refinement worsened the partition");
     }
 

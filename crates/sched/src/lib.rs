@@ -15,7 +15,7 @@
 //!   producing a verifiable [`Schedule`];
 //! * [`max_live`] — register-pressure measurement, the third cause of
 //!   Figure 1;
-//! * [`pseudo_schedule`] — the cheap estimates guiding partition refinement
+//! * [`pseudo_schedule_scratch`] — the cheap estimates guiding partition refinement
 //!   (the paper's reference \[2\]).
 //!
 //! # Example
@@ -69,9 +69,7 @@ pub use expand::{code_shape, expand, render_expansion, CodeShape, ExpandedOp, Ex
 pub use mii::{ii_part, mii, res_mii_assigned, res_mii_unclustered};
 pub use mrt::Mrt;
 pub use order::{neighbor_adjacency_ratio, sms_order};
-pub use pseudo::{
-    comm_penalty, pseudo_schedule, pseudo_schedule_scratch, PseudoSchedule, PseudoScratch,
-};
+pub use pseudo::{comm_penalty, pseudo_schedule_scratch, PseudoSchedule, PseudoScratch};
 pub use regalloc::{
     allocate_registers, ClusterAllocation, OutOfRegisters, RegAssignment, RegisterAllocation,
 };

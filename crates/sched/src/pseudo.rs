@@ -86,31 +86,9 @@ impl PseudoSchedule {
     }
 }
 
-/// Builds the pseudo-schedule estimate of an assignment.
-///
-/// One-shot convenience: computes a [`LoopAnalysis`] internally. Partition
-/// refinement scores through [`pseudo_schedule_scratch`].
-#[must_use]
-pub fn pseudo_schedule(
-    ddg: &Ddg,
-    assignment: &Assignment,
-    machine: &MachineConfig,
-    ii: u32,
-) -> PseudoSchedule {
-    let analysis = LoopAnalysis::new(ddg, machine);
-    pseudo_schedule_scratch(
-        ddg,
-        assignment,
-        machine,
-        ii,
-        &analysis,
-        &mut PseudoScratch::default(),
-    )
-}
-
-/// [`pseudo_schedule`] on a cached [`LoopAnalysis`] and caller-owned
-/// scratch buffers — the allocation-free scoring path of partition
-/// refinement.
+/// Builds the pseudo-schedule estimate of an assignment on a cached
+/// [`LoopAnalysis`] and caller-owned scratch buffers — the
+/// allocation-free scoring path of partition refinement.
 ///
 /// Capacity: every (cluster, class) must fit its instances in `units·II`.
 /// Critical path: a data edge whose consumer lives in a cluster without
@@ -217,6 +195,23 @@ mod tests {
 
     fn machine(spec: &str) -> MachineConfig {
         MachineConfig::from_spec(spec).unwrap()
+    }
+
+    fn pseudo_schedule(
+        ddg: &Ddg,
+        assignment: &Assignment,
+        machine: &MachineConfig,
+        ii: u32,
+    ) -> PseudoSchedule {
+        let analysis = LoopAnalysis::new(ddg, machine);
+        pseudo_schedule_scratch(
+            ddg,
+            assignment,
+            machine,
+            ii,
+            &analysis,
+            &mut PseudoScratch::default(),
+        )
     }
 
     fn two_chain() -> Ddg {

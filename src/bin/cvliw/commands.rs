@@ -755,6 +755,14 @@ fn cmd_bench(args: &Args) -> Result<(), CliError> {
             .collect::<Vec<_>>()
             .join(", ")
     );
+    eprintln!(
+        "work: {}",
+        cvliw::exp::work_rows(&report.work)
+            .iter()
+            .map(|(name, value)| format!("{name} {value}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
     if args.flag("serve") {
         let sr = serve_replay(&grid, jobs).map_err(CliError::Suite)?;
         eprintln!(

@@ -24,7 +24,7 @@ use cvliw::partition::{
     RefineScratch,
 };
 use cvliw::sched::LoopAnalysis;
-use cvliw::workloads::{generate_loop, GeneratorParams};
+use cvliw::workloads::{generate_loop, suite_with_salt, GeneratorParams};
 use proptest::prelude::*;
 
 /// Every interconnect fabric the machine model supports, on the cluster
@@ -44,6 +44,68 @@ const TOPOLOGY_VARIANTS: [&str; 6] = [
 /// across IIs without making the (slow, full-rescoring) oracle the
 /// dominant cost of the test suite.
 const II_STEPS: u32 = 3;
+
+/// Replays one II climb (`mii..mii + steps`) through the production path
+/// and the full-rescoring oracle with one scratch and one cache carried
+/// across it, and returns the first divergence.
+fn climb_matches_oracle(
+    ddg: &cvliw::ddg::Ddg,
+    machine: &MachineConfig,
+    steps: u32,
+) -> Result<(), String> {
+    let analysis = LoopAnalysis::new(ddg, machine);
+    let mii = analysis.mii();
+    let mut scratch = RefineScratch::default();
+    let mut part = partition_loop_scratch(ddg, machine, mii, &analysis, &mut scratch);
+    let mut cache = RefineCache::default();
+    for ii in mii..mii + steps {
+        let (oracle_part, oracle_moves) =
+            refine_existing_oracle(ddg, machine, ii, part.clone(), &analysis);
+        let mut trace: Vec<RefineMove> = Vec::new();
+        let refined = refine_existing_trace(
+            ddg,
+            machine,
+            ii,
+            part,
+            &analysis,
+            &mut scratch,
+            Some(&mut cache),
+            &mut trace,
+        );
+        if trace != oracle_moves || refined != oracle_part {
+            return Err(format!(
+                "ii {ii}: production moves {trace:?}, oracle moves {oracle_moves:?}"
+            ));
+        }
+        part = refined;
+    }
+    Ok(())
+}
+
+/// Loops taken from the head of every program of the published suite for
+/// the real-corpus oracle case.
+const CORPUS_LOOPS_PER_PROGRAM: usize = 2;
+
+/// The differential oracle on the published suite (salt 0) rather than
+/// on generated proptest loops: the first loops of every program on the
+/// narrow 2- and 4-cluster bus machines, climbing MII..MII+3 — the
+/// machines where the II climb runs longest.
+#[test]
+fn incremental_refinement_matches_oracle_on_the_published_suite() {
+    let machines: Vec<MachineConfig> = ["2c1b2l64r", "4c1b2l64r"]
+        .iter()
+        .map(|spec| MachineConfig::from_spec(spec).expect("preset parses"))
+        .collect();
+    for program in suite_with_salt(0, CORPUS_LOOPS_PER_PROGRAM) {
+        for l in &program.loops {
+            for machine in &machines {
+                if let Err(msg) = climb_matches_oracle(&l.ddg, machine, 4) {
+                    panic!("{} on {machine}: {msg}", l.name);
+                }
+            }
+        }
+    }
+}
 
 fn arb_params() -> impl Strategy<Value = GeneratorParams> {
     (
@@ -78,37 +140,8 @@ proptest! {
         let ddg = generate_loop(seed, &params).expect("generator is total").ddg;
         for spec in TOPOLOGY_VARIANTS {
             let machine = MachineConfig::from_spec(spec).expect("preset parses");
-            let analysis = LoopAnalysis::new(&ddg, &machine);
-            let mii = analysis.mii();
-            // One scratch and one cache across the whole climb, like the
-            // driver's per-(loop, machine) compile scratch.
-            let mut scratch = RefineScratch::default();
-            let mut part = partition_loop_scratch(&ddg, &machine, mii, &analysis, &mut scratch);
-            let mut cache = RefineCache::default();
-            for ii in mii..mii + II_STEPS {
-                let (oracle_part, oracle_moves) =
-                    refine_existing_oracle(&ddg, &machine, ii, part.clone(), &analysis);
-                let mut trace: Vec<RefineMove> = Vec::new();
-                let refined = refine_existing_trace(
-                    &ddg,
-                    &machine,
-                    ii,
-                    part.clone(),
-                    &analysis,
-                    &mut scratch,
-                    Some(&mut cache),
-                    &mut trace,
-                );
-                prop_assert_eq!(
-                    &trace, &oracle_moves,
-                    "{} at ii {}: accepted-move sequences diverged", spec, ii
-                );
-                prop_assert_eq!(
-                    &refined, &oracle_part,
-                    "{} at ii {}: refined partitions diverged", spec, ii
-                );
-                part = refined;
-            }
+            let verdict = climb_matches_oracle(&ddg, &machine, II_STEPS);
+            prop_assert!(verdict.is_ok(), "{}: {:?}", spec, verdict);
         }
     }
 
